@@ -2,8 +2,7 @@
 //! GMM EM fitting, each at a sweep of thread counts.
 //!
 //! Run serially vs parallel with `SERD_THREADS=1 cargo bench ...` vs the
-//! default; `scripts/bench_baseline.sh` automates the comparison and emits
-//! `BENCH_parallel.json`.
+//! default.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;

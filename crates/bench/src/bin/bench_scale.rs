@@ -138,7 +138,7 @@ fn main() {
         planted = stats.matches,
         gen_rate = rows_written as f64 / gen_secs.max(1e-9),
         ingest_rate = rows_ingested as f64 / ingest_secs.max(1e-9),
-        shards = blocking::shard_count(),
+        shards = serd_repro::parallel::num_threads(),
         cands = candidates.len(),
         verified = verify,
         budget = json_opt(budget.map(|b| b as u64)),

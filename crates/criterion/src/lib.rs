@@ -12,7 +12,8 @@
 //! Machine-readable output: when the `CRITERION_JSON` environment variable
 //! names a file, one JSON object per benchmark is appended to it:
 //! `{"id": "...", "median_ns": ..., "min_ns": ..., "max_ns": ..., "threads": ...}`.
-//! `scripts/bench_baseline.sh` builds `BENCH_parallel.json` from this.
+//! `scripts/bench_sim.sh` and `scripts/bench_decode.sh` build their
+//! `BENCH_*.json` files from this.
 
 use std::io::Write as _;
 use std::time::{Duration, Instant};

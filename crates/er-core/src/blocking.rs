@@ -4,263 +4,19 @@
 //! expensive. Blocking indexes entities by the q-grams of their first text
 //! column and only pairs entities that share at least one gram, capping the
 //! bucket fan-out so stop-gram buckets ("the", "and") don't explode.
+//!
+//! Every entry point runs the same sharded join under one `blocking` span;
+//! they differ only in where each record's grams come from — the relations'
+//! strings or already-profiled records (DESIGN.md §13.2).
 
 use crate::simcache::{ProfileCache, RecordProfile};
 use crate::{ColumnType, Relation, Schema};
 use similarity::block_gram_hashes;
 use std::collections::{HashMap, HashSet};
-use std::hash::Hash;
 
 /// Gram length the pipeline blocks at (and profile caches precompute
 /// blocking keys for).
 pub const DEFAULT_BLOCK_Q: usize = 3;
-
-/// Number of shards the hashed q-gram index is partitioned into
-/// (`SERD_BLOCK_SHARDS`; defaults to the worker-pool width so single-core
-/// runs pay no partitioning overhead). The candidate set is invariant to the
-/// shard count — each gram hash belongs to exactly one shard, shards build
-/// the same per-gram buckets the monolithic index would, and the per-shard
-/// joins are merged in deterministic shard order then globally sorted — so
-/// this is purely a parallelism/memory knob (DESIGN.md §13).
-pub fn shard_count() -> usize {
-    std::env::var("SERD_BLOCK_SHARDS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(parallel::num_threads)
-        .max(1)
-}
-
-/// A blocking strategy: how candidate pairs are generated without the full
-/// cross product. All strategies are recall-oriented (they may emit false
-/// candidates, never *suppress* true matches beyond their documented
-/// heuristics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlockingStrategy {
-    /// Character q-gram blocking (the default used by the pipeline).
-    Qgram {
-        /// Gram length.
-        q: usize,
-        /// Cap on entities per gram bucket.
-        max_bucket: usize,
-    },
-    /// Whitespace-token blocking: share at least one lowercase token.
-    Token {
-        /// Cap on entities per token bucket.
-        max_bucket: usize,
-    },
-    /// Sorted-neighborhood: entities of both relations are sorted by the
-    /// blocking key and paired within a sliding window.
-    SortedNeighborhood {
-        /// Window size (each A entity pairs with the `window` nearest B
-        /// entities in sort order).
-        window: usize,
-    },
-}
-
-impl BlockingStrategy {
-    /// Short name used for metric keys.
-    fn key(&self) -> &'static str {
-        match self {
-            BlockingStrategy::Qgram { .. } => "qgram",
-            BlockingStrategy::Token { .. } => "token",
-            BlockingStrategy::SortedNeighborhood { .. } => "sorted_neighborhood",
-        }
-    }
-
-    /// Generates candidate pairs under this strategy.
-    pub fn candidates(&self, a: &Relation, b: &Relation) -> Vec<(usize, usize)> {
-        let _span = obs::span("blocking");
-        let out = match *self {
-            BlockingStrategy::Qgram { q, max_bucket } => candidate_pairs(a, b, q, max_bucket),
-            BlockingStrategy::Token { max_bucket } => token_candidates(a, b, max_bucket),
-            BlockingStrategy::SortedNeighborhood { window } => {
-                sorted_neighborhood(a, b, window)
-            }
-        };
-        self.report(a, b, &out);
-        out
-    }
-
-    /// [`Self::candidates`] over a dataset's [`ProfileCache`] — identical
-    /// output, computed from the cached per-record profiles. A budgeted
-    /// cache (not fully resident) routes to the relation-based path, which
-    /// produces the same candidate set without needing profile slices.
-    pub fn candidates_cached(
-        &self,
-        a: &Relation,
-        b: &Relation,
-        cache: &ProfileCache,
-    ) -> Vec<(usize, usize)> {
-        if !cache.fully_resident() {
-            return self.candidates(a, b);
-        }
-        let _span = obs::span("blocking");
-        let out = match *self {
-            BlockingStrategy::Qgram { q, max_bucket } => {
-                candidate_pairs_cached(a, b, cache, q, max_bucket)
-            }
-            BlockingStrategy::Token { max_bucket } => {
-                token_candidates_cached(a, cache, max_bucket)
-            }
-            BlockingStrategy::SortedNeighborhood { window } => {
-                sorted_neighborhood_cached(a, cache, window)
-            }
-        };
-        self.report(a, b, &out);
-        out
-    }
-
-    fn report(&self, a: &Relation, b: &Relation, out: &[(usize, usize)]) {
-        if obs::enabled() {
-            let key = self.key();
-            obs::counter(&format!("candidates.{key}"), out.len() as u64);
-            let cross = a.len() as f64 * b.len() as f64;
-            if cross > 0.0 {
-                // Fraction of the cross product pruned away by blocking.
-                obs::gauge(
-                    &format!("reduction_ratio.{key}"),
-                    1.0 - out.len() as f64 / cross,
-                );
-            }
-        }
-    }
-}
-
-/// Joins two single-side blocking indexes into sorted, deduplicated pairs
-/// (sorted so candidate order doesn't leak hash-iteration order).
-fn join_indexes<K: Eq + Hash>(
-    ia: &HashMap<K, Vec<usize>>,
-    ib: &HashMap<K, Vec<usize>>,
-) -> Vec<(usize, usize)> {
-    let mut seen: HashSet<(usize, usize)> = HashSet::new();
-    for (k, ids_a) in ia {
-        if let Some(ids_b) = ib.get(k) {
-            for &i in ids_a {
-                for &j in ids_b {
-                    seen.insert((i, j));
-                }
-            }
-        }
-    }
-    let mut out: Vec<(usize, usize)> = seen.into_iter().collect();
-    out.sort_unstable();
-    out
-}
-
-/// Token blocking: pair entities sharing at least one lowercase token on the
-/// blocking column.
-pub fn token_candidates(a: &Relation, b: &Relation, max_bucket: usize) -> Vec<(usize, usize)> {
-    let col = blocking_column(a);
-    let index = |r: &Relation| {
-        let mut idx: HashMap<String, Vec<usize>> = HashMap::new();
-        for (id, e) in r.iter() {
-            let Some(s) = e.value(col).as_str() else { continue };
-            let mut tokens: Vec<String> = s
-                .to_lowercase()
-                .split(|c: char| !c.is_alphanumeric())
-                .filter(|t| !t.is_empty())
-                .map(str::to_string)
-                .collect();
-            tokens.sort();
-            tokens.dedup();
-            for t in tokens {
-                let bucket = idx.entry(t).or_default();
-                if bucket.len() < max_bucket {
-                    bucket.push(id);
-                }
-            }
-        }
-        idx
-    };
-    join_indexes(&index(a), &index(b))
-}
-
-/// [`token_candidates`] over cached profiles: the per-record sorted-unique
-/// token sets are already interned, so the index keys on token ids (exact —
-/// interned ids are bijective with token strings).
-pub fn token_candidates_cached(
-    a: &Relation,
-    cache: &ProfileCache,
-    max_bucket: usize,
-) -> Vec<(usize, usize)> {
-    let col = blocking_column(a);
-    let index = |profs: &[RecordProfile]| {
-        let mut idx: HashMap<u32, Vec<usize>> = HashMap::new();
-        for (id, rp) in profs.iter().enumerate() {
-            let Some(p) = rp.col(col) else { continue };
-            for &t in p.token_set() {
-                let bucket = idx.entry(t).or_default();
-                if bucket.len() < max_bucket {
-                    bucket.push(id);
-                }
-            }
-        }
-        idx
-    };
-    join_indexes(&index(cache.a()), &index(cache.b()))
-}
-
-/// Sorted-neighborhood blocking: merge-sort both relations on the lowercase
-/// blocking value; each A entity is paired with the `window` B entities
-/// nearest to it in the merged order.
-pub fn sorted_neighborhood(a: &Relation, b: &Relation, window: usize) -> Vec<(usize, usize)> {
-    let col = blocking_column(a);
-    let keys = |r: &Relation| {
-        let mut ks: Vec<(String, usize)> = r
-            .iter()
-            .map(|(id, e)| (e.value(col).as_str().unwrap_or("").to_lowercase(), id))
-            .collect();
-        ks.sort();
-        ks
-    };
-    window_pairs(&keys(a), &keys(b), window)
-}
-
-/// [`sorted_neighborhood`] over cached profiles (the lowercase blocking keys
-/// are already computed on each profile).
-pub fn sorted_neighborhood_cached(
-    a: &Relation,
-    cache: &ProfileCache,
-    window: usize,
-) -> Vec<(usize, usize)> {
-    let col = blocking_column(a);
-    fn keys(profs: &[RecordProfile], col: usize) -> Vec<(&str, usize)> {
-        let mut ks: Vec<(&str, usize)> = profs
-            .iter()
-            .enumerate()
-            .map(|(id, rp)| (rp.col(col).map_or("", |p| p.lower()), id))
-            .collect();
-        ks.sort();
-        ks
-    }
-    window_pairs(&keys(cache.a(), col), &keys(cache.b(), col), window)
-}
-
-fn window_pairs<S: Ord>(
-    ka: &[(S, usize)],
-    kb: &[(S, usize)],
-    window: usize,
-) -> Vec<(usize, usize)> {
-    if kb.is_empty() {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    // For each sorted A key, locate its insertion point in sorted B keys and
-    // take the window around it.
-    for (key, i) in ka {
-        let pos = kb.partition_point(|(kb_key, _)| kb_key < key);
-        let lo = pos.saturating_sub(window / 2 + window % 2);
-        let hi = (lo + window).min(kb.len());
-        let lo = hi.saturating_sub(window);
-        for (_, j) in &kb[lo..hi] {
-            out.push((*i, *j));
-        }
-    }
-    out.sort_unstable();
-    out.dedup();
-    out
-}
 
 /// Returns candidate `(i, j)` pairs of entities that share at least one
 /// character q-gram on the blocking column (the first `Text` column; falls
@@ -268,16 +24,16 @@ fn window_pairs<S: Ord>(
 ///
 /// `max_bucket` caps the number of entities per gram bucket on each side;
 /// larger buckets are truncated (standard blocking practice — ubiquitous
-/// grams carry no signal). The index is sharded by `gram_hash % S` (see
-/// [`shard_count`]); the candidate set is bit-identical at any shard or
-/// thread count.
+/// grams carry no signal). The index is sharded by `gram_hash % S`, one
+/// shard per worker-pool thread; the candidate set is bit-identical at any
+/// shard or thread count.
 pub fn candidate_pairs(
     a: &Relation,
     b: &Relation,
     q: usize,
     max_bucket: usize,
 ) -> Vec<(usize, usize)> {
-    candidate_pairs_sharded(a, b, q, max_bucket, shard_count())
+    candidate_pairs_sharded(a, b, q, max_bucket, parallel::num_threads())
 }
 
 /// [`candidate_pairs`] with an explicit shard count (`shards = 1` is the
@@ -289,19 +45,13 @@ pub fn candidate_pairs_sharded(
     max_bucket: usize,
     shards: usize,
 ) -> Vec<(usize, usize)> {
-    let _span = obs::span("blocking");
-    let col = blocking_column(a);
-    let grams_a = relation_grams(a, col, q);
-    let grams_b = relation_grams(b, col, q);
-    let out = sharded_join(&grams_a, &grams_b, max_bucket, shards);
-    report_qgram(a, b, &out);
-    out
+    block(a, b, GramSource::Relations, q, max_bucket, shards)
 }
 
-/// [`candidate_pairs`] over a dataset's [`ProfileCache`]: the cache's
-/// precomputed blocking keys (or, at a non-default `q`, the cached lowercase
-/// strings) replace the per-record tokenization. A budgeted cache routes to
-/// the relation-based path (same candidate set, recomputed grams).
+/// [`candidate_pairs`] over a dataset's [`ProfileCache`]: a fully resident
+/// cache blocks on its profiles ([`candidate_pairs_profiled`]); a budgeted
+/// one cannot lend out profile slices, so it blocks on the relations (same
+/// candidate set, recomputed grams).
 pub fn candidate_pairs_cached(
     a: &Relation,
     b: &Relation,
@@ -309,21 +59,16 @@ pub fn candidate_pairs_cached(
     q: usize,
     max_bucket: usize,
 ) -> Vec<(usize, usize)> {
-    if !cache.fully_resident() {
-        return candidate_pairs(a, b, q, max_bucket);
+    match cache.resident_profiles() {
+        Some((aprofs, bprofs)) => candidate_pairs_profiled(a, b, aprofs, bprofs, q, max_bucket),
+        None => candidate_pairs(a, b, q, max_bucket),
     }
-    let _span = obs::span("blocking");
-    let col = blocking_column(a);
-    let grams_a = profiled_grams(cache.a(), col, q);
-    let grams_b = profiled_grams(cache.b(), col, q);
-    let out = sharded_join(&grams_a, &grams_b, max_bucket, shard_count());
-    report_qgram(a, b, &out);
-    out
 }
 
 /// [`candidate_pairs`] over already-profiled record slices (the synthesis
 /// loop's S3 labeling pass, where the records were profiled one by one as
-/// they were accepted).
+/// they were accepted). Each profile's precomputed blocking keys are reused
+/// when they were built at this `q`, its cached lowercase string otherwise.
 pub fn candidate_pairs_profiled(
     a: &Relation,
     b: &Relation,
@@ -332,22 +77,8 @@ pub fn candidate_pairs_profiled(
     q: usize,
     max_bucket: usize,
 ) -> Vec<(usize, usize)> {
-    let _span = obs::span("blocking");
-    let grams_a = profiled_grams(aprofs, blocking_column(a), q);
-    let grams_b = profiled_grams(bprofs, blocking_column(a), q);
-    let out = sharded_join(&grams_a, &grams_b, max_bucket, shard_count());
-    report_qgram(a, b, &out);
-    out
-}
-
-fn report_qgram(a: &Relation, b: &Relation, out: &[(usize, usize)]) {
-    if obs::enabled() {
-        obs::counter("candidates.qgram", out.len() as u64);
-        let cross = (a.len() as f64) * (b.len() as f64);
-        if cross > 0.0 {
-            obs::gauge("reduction_ratio.qgram", 1.0 - out.len() as f64 / cross);
-        }
-    }
+    let source = GramSource::Profiles(aprofs, bprofs);
+    block(a, b, source, q, max_bucket, parallel::num_threads())
 }
 
 /// The index of the column used for blocking.
@@ -362,6 +93,45 @@ pub fn blocking_column_of(schema: &Schema) -> usize {
         .iter()
         .position(|c| c.ctype == ColumnType::Text)
         .unwrap_or(0)
+}
+
+/// Where a blocking run reads each record's grams from.
+enum GramSource<'p> {
+    /// Hash the relations' lowercase blocking-column strings.
+    Relations,
+    /// Reuse profiled records (A's, then B's, indexed like the relations).
+    Profiles(&'p [RecordProfile], &'p [RecordProfile]),
+}
+
+/// The one q-gram blocking run: collect both sides' grams from `source`,
+/// join them through the sharded index, and report the candidate count and
+/// reduction ratio.
+fn block(
+    a: &Relation,
+    b: &Relation,
+    source: GramSource<'_>,
+    q: usize,
+    max_bucket: usize,
+    shards: usize,
+) -> Vec<(usize, usize)> {
+    let _span = obs::span("blocking");
+    let col = blocking_column(a);
+    let (grams_a, grams_b) = match source {
+        GramSource::Relations => (relation_grams(a, col, q), relation_grams(b, col, q)),
+        GramSource::Profiles(aprofs, bprofs) => {
+            (profiled_grams(aprofs, col, q), profiled_grams(bprofs, col, q))
+        }
+    };
+    let out = sharded_join(&grams_a, &grams_b, max_bucket, shards);
+    if obs::enabled() {
+        obs::counter("candidates.qgram", out.len() as u64);
+        let cross = (a.len() as f64) * (b.len() as f64);
+        if cross > 0.0 {
+            // Fraction of the cross product pruned away by blocking.
+            obs::gauge("reduction_ratio.qgram", 1.0 - out.len() as f64 / cross);
+        }
+    }
+    out
 }
 
 /// Per-record sorted-unique FNV-1a gram hashes of one relation's blocking
@@ -418,6 +188,27 @@ fn shard_index(
         }
     }
     index
+}
+
+/// Joins one shard's two side indexes into sorted, deduplicated pairs
+/// (sorted so candidate order doesn't leak hash-iteration order).
+fn join_indexes(
+    ia: &HashMap<u64, Vec<usize>>,
+    ib: &HashMap<u64, Vec<usize>>,
+) -> Vec<(usize, usize)> {
+    let mut seen: HashSet<(usize, usize)> = HashSet::new();
+    for (g, ids_a) in ia {
+        if let Some(ids_b) = ib.get(g) {
+            for &i in ids_a {
+                for &j in ids_b {
+                    seen.insert((i, j));
+                }
+            }
+        }
+    }
+    let mut out: Vec<(usize, usize)> = seen.into_iter().collect();
+    out.sort_unstable();
+    out
 }
 
 /// Builds both sides' shards in parallel (`par_map` keeps shard order
@@ -498,62 +289,6 @@ mod tests {
     }
 
     #[test]
-    fn token_blocking_requires_shared_token() {
-        let a = rel(&["adaptive query processing", "unrelated thing"]);
-        let b = rel(&["query evaluation", "different words"]);
-        let pairs = token_candidates(&a, &b, 10);
-        assert!(pairs.contains(&(0, 0)));
-        assert!(!pairs.contains(&(1, 1)));
-    }
-
-    #[test]
-    fn sorted_neighborhood_pairs_nearby_keys() {
-        let a = rel(&["alpha", "mike", "zulu"]);
-        let b = rel(&["alpine", "mild", "zero"]);
-        // Window 2 looks at both sides of the insertion point.
-        let pairs = sorted_neighborhood(&a, &b, 2);
-        assert!(pairs.contains(&(0, 0)), "{pairs:?}");
-        assert!(pairs.contains(&(1, 1)), "{pairs:?}");
-        assert!(pairs.contains(&(2, 2)), "{pairs:?}");
-        assert!(pairs.len() <= 6);
-    }
-
-    #[test]
-    fn sorted_neighborhood_window_bounds_output() {
-        let names: Vec<String> = (0..20).map(|i| format!("name{i:02}")).collect();
-        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let a = rel(&refs);
-        let b = rel(&refs);
-        let pairs = sorted_neighborhood(&a, &b, 3);
-        assert!(pairs.len() <= 20 * 3);
-        // The exact self-match is always inside the window.
-        for i in 0..20 {
-            assert!(pairs.contains(&(i, i)), "missing ({i},{i})");
-        }
-    }
-
-    #[test]
-    fn strategy_dispatch() {
-        let a = rel(&["adaptive query processing"]);
-        let b = rel(&["adaptive query evaluation"]);
-        for strat in [
-            BlockingStrategy::Qgram { q: 3, max_bucket: 10 },
-            BlockingStrategy::Token { max_bucket: 10 },
-            BlockingStrategy::SortedNeighborhood { window: 2 },
-        ] {
-            let pairs = strat.candidates(&a, &b);
-            assert!(pairs.contains(&(0, 0)), "{strat:?} missed the pair");
-        }
-    }
-
-    #[test]
-    fn sorted_neighborhood_empty_b() {
-        let a = rel(&["alpha"]);
-        let b = rel(&[]);
-        assert!(sorted_neighborhood(&a, &b, 3).is_empty());
-    }
-
-    #[test]
     fn cached_blocking_matches_uncached() {
         let a = rel(&["adaptable query optimization", "zzzz completely unrelated", "ab"]);
         let b = rel(&["adaptable query evaluation", "query processing things", "ab"]);
@@ -568,23 +303,19 @@ mod tests {
             candidate_pairs(&a, &b, 2, 10),
             candidate_pairs_cached(&a, &b, &cache, 2, 10)
         );
-        assert_eq!(
-            token_candidates(&a, &b, 10),
-            token_candidates_cached(&a, &cache, 10)
-        );
-        assert_eq!(
-            sorted_neighborhood(&a, &b, 2),
-            sorted_neighborhood_cached(&a, &cache, 2)
-        );
-        for strat in [
-            BlockingStrategy::Qgram { q: 3, max_bucket: 10 },
-            BlockingStrategy::Token { max_bucket: 10 },
-            BlockingStrategy::SortedNeighborhood { window: 2 },
-        ] {
+        // S3's path: records profiled one at a time as they are accepted.
+        // At q = 3 the precomputed blocking keys are used; at q = 2 the
+        // cached lowercase strings.
+        let mut profiler = crate::IncrementalProfiler::new(a.schema(), DEFAULT_BLOCK_Q);
+        let aprofs: Vec<RecordProfile> =
+            a.entities().iter().map(|e| profiler.profile_entity(e)).collect();
+        let bprofs: Vec<RecordProfile> =
+            b.entities().iter().map(|e| profiler.profile_entity(e)).collect();
+        for q in [3, 2] {
             assert_eq!(
-                strat.candidates(&a, &b),
-                strat.candidates_cached(&a, &b, &cache),
-                "{strat:?}"
+                candidate_pairs(&a, &b, q, 10),
+                candidate_pairs_profiled(&a, &b, &aprofs, &bprofs, q, 10),
+                "q = {q}"
             );
         }
     }
@@ -628,22 +359,11 @@ mod tests {
         let b = rel(&["adaptable query evaluation", "query processing things", "ab"]);
         // Budget 1 < 6 records: the cache is not fully resident.
         let cache = crate::simcache::ProfileCache::build_with_budget(&a, &b, 3, Some(1));
-        assert!(!cache.fully_resident());
+        assert!(cache.resident_profiles().is_none());
         assert_eq!(
             candidate_pairs(&a, &b, 3, 10),
             candidate_pairs_cached(&a, &b, &cache, 3, 10)
         );
-        for strat in [
-            BlockingStrategy::Qgram { q: 3, max_bucket: 10 },
-            BlockingStrategy::Token { max_bucket: 10 },
-            BlockingStrategy::SortedNeighborhood { window: 2 },
-        ] {
-            assert_eq!(
-                strat.candidates(&a, &b),
-                strat.candidates_cached(&a, &b, &cache),
-                "{strat:?}"
-            );
-        }
     }
 
     #[test]

@@ -57,19 +57,42 @@ pub fn profile_specs(schema: &Schema, block_q: Option<usize>) -> Vec<Option<Prof
     specs
 }
 
-fn profile_cols(
+/// One record's per-column profiles: `build` runs on every column that has a
+/// spec and a string value; every other column gets `None`.
+fn profile_cols<T>(
     e: &Entity,
     specs: &[Option<ProfileSpec>],
-    ctx: &mut SimContext,
-) -> Vec<Option<StringProfile>> {
-    let mut cols = Vec::with_capacity(specs.len());
-    for (c, spec) in specs.iter().enumerate() {
-        cols.push(match (spec, e.value(c).as_str()) {
-            (Some(spec), Some(s)) => Some(ctx.profile(s, spec)),
+    mut build: impl FnMut(&str, &ProfileSpec) -> Option<T>,
+) -> Vec<Option<T>> {
+    specs
+        .iter()
+        .enumerate()
+        .map(|(c, spec)| match (spec, e.value(c).as_str()) {
+            (Some(spec), Some(s)) => build(s, spec),
             _ => None,
-        });
-    }
-    cols
+        })
+        .collect()
+}
+
+/// Similarity vector of two profiled records under `schema` — the scoring
+/// loop behind both caches, score-identical to [`crate::pair_similarity`] on
+/// the raw entities.
+fn score_profiled(
+    schema: &Schema,
+    ea: &Entity,
+    pa: &RecordProfile,
+    eb: &Entity,
+    pb: &RecordProfile,
+    interner: &TokenInterner,
+) -> Vec<f64> {
+    schema
+        .columns()
+        .iter()
+        .enumerate()
+        .map(|(c, col)| {
+            col.similarity_profiled(ea.value(c), eb.value(c), pa.col(c), pb.col(c), interner)
+        })
+        .collect()
 }
 
 /// Parses `SERD_PROFILE_BUDGET` — the maximum number of [`RecordProfile`]s
@@ -147,27 +170,6 @@ enum Store {
     },
 }
 
-impl Clone for Store {
-    fn clone(&self) -> Store {
-        match self {
-            Store::Resident { a, b } => Store::Resident { a: a.clone(), b: b.clone() },
-            Store::Bounded { budget, n_a, n_b, lru } => {
-                let lru = lru.lock().expect("profile LRU poisoned");
-                Store::Bounded {
-                    budget: *budget,
-                    n_a: *n_a,
-                    n_b: *n_b,
-                    lru: Mutex::new(Lru {
-                        clock: lru.clock,
-                        map: lru.map.clone(),
-                        heap: lru.heap.clone(),
-                    }),
-                }
-            }
-        }
-    }
-}
-
 /// A bulk profile cache over the two relations of a dataset. All profiles
 /// share one interner, so any A-record may be compared with any B-record.
 ///
@@ -176,11 +178,10 @@ impl Clone for Store {
 /// misses rebuild through [`RawProfile::intern_readonly`] against the
 /// complete interner assembled at build time, so scores stay bit-identical
 /// to the unbounded cache (DESIGN.md §13).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ProfileCache {
     ctx: SimContext,
     specs: Vec<Option<ProfileSpec>>,
-    block_q: usize,
     store: Store,
 }
 
@@ -211,15 +212,7 @@ impl ProfileCache {
 
         let raw_chunk = |r: &Relation, ids: &[usize]| -> Vec<Vec<Option<RawProfile>>> {
             parallel::par_map(ids, |&i| {
-                let e = r.entity(i);
-                specs
-                    .iter()
-                    .enumerate()
-                    .map(|(c, spec)| match (spec, e.value(c).as_str()) {
-                        (Some(spec), Some(s)) => Some(RawProfile::build(s, spec)),
-                        _ => None,
-                    })
-                    .collect()
+                profile_cols(r.entity(i), &specs, |s, spec| Some(RawProfile::build(s, spec)))
             })
         };
 
@@ -247,7 +240,7 @@ impl ProfileCache {
                 n_b: b.len(),
                 lru: Mutex::new(Lru::default()),
             };
-            return ProfileCache { ctx, specs, block_q, store };
+            return ProfileCache { ctx, specs, store };
         }
 
         let all = |r: &Relation| raw_chunk(r, &(0..r.len()).collect::<Vec<usize>>());
@@ -265,7 +258,7 @@ impl ProfileCache {
         };
         let a = intern_rows(raw_a);
         let b = intern_rows(raw_b);
-        ProfileCache { ctx, specs, block_q, store: Store::Resident { a, b } }
+        ProfileCache { ctx, specs, store: Store::Resident { a, b } }
     }
 
     /// The shared token interner.
@@ -273,13 +266,14 @@ impl ProfileCache {
         self.ctx.interner()
     }
 
-    /// True when every record's profile is resident (no budget in effect) —
-    /// the precondition for the slice accessors [`ProfileCache::a`] /
-    /// [`ProfileCache::b`]. Budgeted callers must go through
-    /// [`ProfileCache::pair_similarity`] / [`ProfileCache::profile`] or fall
-    /// back to relation-based code paths.
-    pub fn fully_resident(&self) -> bool {
-        matches!(self.store, Store::Resident { .. })
+    /// The A and B profiles, each indexed like its relation, when every
+    /// record is resident; `None` under a residency budget, where profiles
+    /// exist only on demand inside [`ProfileCache::pair_similarity`].
+    pub fn resident_profiles(&self) -> Option<(&[RecordProfile], &[RecordProfile])> {
+        match &self.store {
+            Store::Resident { a, b } => Some((a, b)),
+            Store::Bounded { .. } => None,
+        }
     }
 
     /// Number of profiles currently resident.
@@ -298,62 +292,27 @@ impl ProfileCache {
         }
     }
 
-    /// Profiles of the A relation, indexed like the relation.
-    ///
-    /// # Panics
-    /// When a residency budget is in effect (check
-    /// [`ProfileCache::fully_resident`] first).
-    pub fn a(&self) -> &[RecordProfile] {
-        match &self.store {
-            Store::Resident { a, .. } => a,
-            Store::Bounded { .. } => panic!("ProfileCache::a() on a budgeted cache"),
-        }
-    }
-
-    /// Profiles of the B relation, indexed like the relation.
-    ///
-    /// # Panics
-    /// When a residency budget is in effect (check
-    /// [`ProfileCache::fully_resident`] first).
-    pub fn b(&self) -> &[RecordProfile] {
-        match &self.store {
-            Store::Resident { b, .. } => b,
-            Store::Bounded { .. } => panic!("ProfileCache::b() on a budgeted cache"),
-        }
-    }
-
-    /// The gram length blocking keys were precomputed at.
-    pub fn block_q(&self) -> usize {
-        self.block_q
-    }
-
-    /// The profile of record `id` on the given side (0 = A, 1 = B), getting
-    /// or rebuilding it under a budget. `entity` must be that record.
-    fn fetch(&self, side: u8, id: usize, entity: &Entity) -> Arc<RecordProfile> {
-        let Store::Bounded { budget, n_a, n_b, lru } = &self.store else {
-            unreachable!("fetch is only called on bounded stores");
-        };
-        let n = if side == 0 { *n_a } else { *n_b };
-        assert!(id < n, "record {id} out of range for side {side} (len {n})");
-        if let Some(hit) = lru.lock().expect("profile LRU poisoned").touch((side, id)) {
+    /// The profile at `key` in a bounded store's LRU, getting or rebuilding
+    /// it. `entity` must be that record.
+    fn fetch(
+        &self,
+        lru: &Mutex<Lru>,
+        budget: usize,
+        key: SlotKey,
+        entity: &Entity,
+    ) -> Arc<RecordProfile> {
+        if let Some(hit) = lru.lock().expect("profile LRU poisoned").touch(key) {
             return hit;
         }
         // Miss: rebuild outside the lock. Two threads racing on the same
         // record both produce identical profiles; last insert wins.
-        let cols = self
-            .specs
-            .iter()
-            .enumerate()
-            .map(|(c, spec)| match (spec, entity.value(c).as_str()) {
-                (Some(spec), Some(s)) => {
-                    RawProfile::build(s, spec).intern_readonly(self.ctx.interner())
-                }
-                _ => None,
-            })
-            .collect();
+        let interner = self.ctx.interner();
+        let cols = profile_cols(entity, &self.specs, |s, spec| {
+            RawProfile::build(s, spec).intern_readonly(interner)
+        });
         let prof = Arc::new(RecordProfile { cols });
         let mut lru = lru.lock().expect("profile LRU poisoned");
-        lru.insert((side, id), prof.clone(), *budget);
+        lru.insert(key, prof.clone(), budget);
         if obs::enabled() {
             obs::gauge("simcache.resident", lru.map.len() as f64);
         }
@@ -371,28 +330,14 @@ impl ProfileCache {
         eb: &Entity,
         j: usize,
     ) -> Vec<f64> {
-        let score = |pa: &RecordProfile, pb: &RecordProfile| -> Vec<f64> {
-            schema
-                .columns()
-                .iter()
-                .enumerate()
-                .map(|(c, col)| {
-                    col.similarity_profiled(
-                        ea.value(c),
-                        eb.value(c),
-                        pa.col(c),
-                        pb.col(c),
-                        self.ctx.interner(),
-                    )
-                })
-                .collect()
-        };
+        let interner = self.ctx.interner();
         match &self.store {
-            Store::Resident { a, b } => score(&a[i], &b[j]),
-            Store::Bounded { .. } => {
-                let pa = self.fetch(0, i, ea);
-                let pb = self.fetch(1, j, eb);
-                score(&pa, &pb)
+            Store::Resident { a, b } => score_profiled(schema, ea, &a[i], eb, &b[j], interner),
+            Store::Bounded { budget, n_a, n_b, lru } => {
+                assert!(i < *n_a && j < *n_b, "pair ({i}, {j}) out of range");
+                let pa = self.fetch(lru, *budget, (0, i), ea);
+                let pb = self.fetch(lru, *budget, (1, j), eb);
+                score_profiled(schema, ea, &pa, eb, &pb, interner)
             }
         }
     }
@@ -405,7 +350,6 @@ impl ProfileCache {
 pub struct IncrementalProfiler {
     ctx: SimContext,
     specs: Vec<Option<ProfileSpec>>,
-    block_q: usize,
 }
 
 impl IncrementalProfiler {
@@ -415,7 +359,6 @@ impl IncrementalProfiler {
         IncrementalProfiler {
             ctx: SimContext::new(),
             specs: profile_specs(schema, Some(block_q)),
-            block_q,
         }
     }
 
@@ -424,15 +367,11 @@ impl IncrementalProfiler {
         self.ctx.interner()
     }
 
-    /// The gram length blocking keys are precomputed at.
-    pub fn block_q(&self) -> usize {
-        self.block_q
-    }
-
     /// Profiles one record (all its text columns) through the shared
     /// interner.
     pub fn profile_entity(&mut self, e: &Entity) -> RecordProfile {
-        RecordProfile { cols: profile_cols(e, &self.specs, &mut self.ctx) }
+        let ctx = &mut self.ctx;
+        RecordProfile { cols: profile_cols(e, &self.specs, |s, spec| Some(ctx.profile(s, spec))) }
     }
 
     /// Similarity vector of two profiled records — score-identical to
@@ -445,20 +384,7 @@ impl IncrementalProfiler {
         eb: &Entity,
         pb: &RecordProfile,
     ) -> Vec<f64> {
-        schema
-            .columns()
-            .iter()
-            .enumerate()
-            .map(|(c, col)| {
-                col.similarity_profiled(
-                    ea.value(c),
-                    eb.value(c),
-                    pa.col(c),
-                    pb.col(c),
-                    self.ctx.interner(),
-                )
-            })
-            .collect()
+        score_profiled(schema, ea, pa, eb, pb, self.ctx.interner())
     }
 }
 
@@ -560,8 +486,8 @@ mod tests {
         // A budget of 2 forces evictions on every pair (each pair needs 2
         // slots and the scan below cycles through 5 records).
         let bounded = ProfileCache::build_with_budget(&a, &b, 3, Some(2));
-        assert!(resident.fully_resident());
-        assert!(!bounded.fully_resident());
+        assert!(resident.resident_profiles().is_some());
+        assert!(bounded.resident_profiles().is_none());
         assert_eq!(bounded.budget(), Some(2));
         // The interner is identical: ids were assigned by the same serial
         // pass regardless of budget.
@@ -602,8 +528,8 @@ mod tests {
     fn budget_at_or_above_corpus_size_stays_resident() {
         let a = rel("A", &[("alpha", "x", 1.0)]);
         let b = rel("B", &[("beta", "y", 2.0)]);
-        assert!(ProfileCache::build_with_budget(&a, &b, 3, Some(2)).fully_resident());
-        assert!(!ProfileCache::build_with_budget(&a, &b, 3, Some(1)).fully_resident());
+        assert!(ProfileCache::build_with_budget(&a, &b, 3, Some(2)).resident_profiles().is_some());
+        assert!(ProfileCache::build_with_budget(&a, &b, 3, Some(1)).resident_profiles().is_none());
     }
 
     #[test]

@@ -148,7 +148,14 @@ impl ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Set the flag under the queue lock: a worker checks it and then
+        // waits while holding that lock, so an unlocked store + notify could
+        // land between its check and its wait and never wake it, leaving
+        // the join below blocked forever.
+        {
+            let _queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.work_available.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -423,5 +430,23 @@ mod tests {
             }
         });
         drop(pool); // must not hang
+    }
+
+    #[test]
+    fn dropping_fresh_pools_never_hangs() {
+        // A worker checks `shutdown` and then waits for work; a shutdown
+        // signal that lands between the two must still wake it. Pools with
+        // more workers than cores, dropped while those workers are still
+        // starting, hit that window within a few thousand drops when the
+        // flag is not set under the queue lock.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let dropper = std::thread::spawn(move || {
+            for _ in 0..20_000 {
+                drop(ThreadPool::new(8));
+            }
+            tx.send(()).expect("test thread is waiting");
+        });
+        rx.recv_timeout(Duration::from_secs(120)).expect("dropping a pool hung");
+        dropper.join().expect("dropper thread panicked");
     }
 }

@@ -84,7 +84,6 @@ impl EncodedSource {
 }
 
 /// One candidate's decoding state: its prefix length and per-layer KV caches.
-#[derive(Clone)]
 struct Lane {
     len: usize,
     /// Per decoder layer: cached self-attention keys `(len, d_model)`.
@@ -121,34 +120,6 @@ impl<'m> BatchDecoder<'m> {
             src,
             lanes: (0..n_lanes).map(|_| Lane::new(layers, d)).collect(),
         }
-    }
-
-    /// Number of lanes (including forked ones).
-    pub fn n_lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Tokens decoded so far on `lane`.
-    pub fn lane_len(&self, lane: usize) -> usize {
-        self.lanes[lane].len
-    }
-
-    /// Duplicates a lane's caches (beam branching); returns the new index.
-    pub fn fork_lane(&mut self, from: usize) -> usize {
-        let copy = self.lanes[from].clone();
-        self.lanes.push(copy);
-        self.lanes.len() - 1
-    }
-
-    /// Keeps only the listed lanes, in order: new lane `i` is old lane
-    /// `keep[i]`. Indices must be distinct (fork first to duplicate).
-    pub fn retain_lanes(&mut self, keep: &[usize]) {
-        let mut slots: Vec<Option<Lane>> =
-            std::mem::take(&mut self.lanes).into_iter().map(Some).collect();
-        self.lanes = keep
-            .iter()
-            .map(|&i| slots[i].take().expect("retain_lanes: duplicate lane index"))
-            .collect();
     }
 
     /// Feeds one token into each listed lane and returns the

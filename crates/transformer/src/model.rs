@@ -311,109 +311,10 @@ impl Seq2SeqTransformer {
         logits.cross_entropy_logits(&targets[..l], Some(PAD))
     }
 
-    /// Encodes an *unframed* source once for reuse across candidates,
-    /// retries, and beams (frames it internally, like the generators do).
+    /// Encodes an *unframed* source once for reuse across candidates and
+    /// retries (frames it internally, like the generators do).
     pub fn encode_source(&self, src: &[usize]) -> EncodedSource {
         EncodedSource::from_framed(self, &frame(src))
-    }
-
-    /// Deterministic beam-search decoding: keeps the `beam_width` highest
-    /// log-probability partial sequences, returns the best finished one
-    /// (normalized by generated length so shorter outputs aren't unfairly
-    /// favored). Complements [`Seq2SeqTransformer::generate`]'s temperature
-    /// sampling when a single high-likelihood output is wanted.
-    ///
-    /// Beams advance in lockstep through one KV-cached [`BatchDecoder`];
-    /// surviving beams keep their caches across pruning via lane fork/retain.
-    pub fn generate_beam(&self, src: &[usize], max_out: usize, beam_width: usize) -> Vec<usize> {
-        struct Beam {
-            /// Sequence including the leading BOS.
-            seq: Vec<usize>,
-            /// Total log-probability.
-            score: f32,
-            done: bool,
-            /// Cache lane holding all but the newest token; None once done.
-            lane: Option<usize>,
-        }
-        let enc = self.encode_source(src);
-        let width = beam_width.max(1);
-        let mut dec = BatchDecoder::new(self, &enc, 1);
-        let mut beams = vec![Beam { seq: vec![BOS], score: 0.0, done: false, lane: Some(0) }];
-        let limit = max_out.min(self.cfg.max_len - 1);
-        for _ in 0..limit {
-            if beams.iter().all(|b| b.done) {
-                break;
-            }
-            // Feed every unfinished beam's newest token in one batched step.
-            let feeds: Vec<(usize, usize)> = beams
-                .iter()
-                .filter(|b| !b.done)
-                .map(|b| (b.lane.expect("live beam has a lane"), *b.seq.last().unwrap()))
-                .collect();
-            let logits = dec.step(&feeds);
-            let mut next: Vec<Beam> = Vec::new();
-            let mut row = 0;
-            for b in &beams {
-                if b.done {
-                    next.push(Beam { seq: b.seq.clone(), score: b.score, done: true, lane: None });
-                    continue;
-                }
-                let last = logits.row(row);
-                row += 1;
-                // Log-softmax over the row.
-                let m = last.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-                let z: f32 = last.iter().map(|&v| (v - m).exp()).sum();
-                let log_z = m + z.ln();
-                // Top `width` continuations of this beam.
-                let mut scored: Vec<(usize, f32)> = last
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| i != PAD && i != BOS)
-                    .map(|(i, &v)| (i, v - log_z))
-                    .collect();
-                scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-                // The first live continuation inherits the parent's lane;
-                // further ones fork it.
-                let mut parent_lane_taken = false;
-                for &(id, lp) in scored.iter().take(width) {
-                    let finished = id == EOS;
-                    let mut s = b.seq.clone();
-                    if !finished {
-                        s.push(id);
-                    }
-                    let lane = if finished {
-                        None
-                    } else if !parent_lane_taken {
-                        parent_lane_taken = true;
-                        b.lane
-                    } else {
-                        Some(dec.fork_lane(b.lane.expect("live beam has a lane")))
-                    };
-                    next.push(Beam { seq: s, score: b.score + lp, done: finished, lane });
-                }
-            }
-            // Prune to the global beam width by length-normalized score.
-            next.sort_by(|a, b| {
-                let na = length_normalized(a.score, a.seq.len());
-                let nb = length_normalized(b.score, b.seq.len());
-                nb.partial_cmp(&na).unwrap_or(std::cmp::Ordering::Equal)
-            });
-            next.truncate(width);
-            // Drop pruned beams' caches and renumber survivors' lanes.
-            let keep: Vec<usize> = next.iter().filter_map(|b| b.lane).collect();
-            dec.retain_lanes(&keep);
-            let mut li = 0;
-            for b in &mut next {
-                if b.lane.is_some() {
-                    b.lane = Some(li);
-                    li += 1;
-                }
-            }
-            beams = next;
-        }
-        let mut best = beams.remove(0).seq;
-        best.remove(0); // strip BOS
-        best
     }
 
     /// Samples an output id sequence (without specials) for an unframed
@@ -521,13 +422,6 @@ impl Seq2SeqTransformer {
         }
         outs
     }
-}
-
-/// Length-normalized beam score: total log-probability divided by the number
-/// of *generated* tokens. `seq_len_with_bos` counts the leading BOS, which
-/// carries no probability mass and must not dilute the average.
-fn length_normalized(score: f32, seq_len_with_bos: usize) -> f32 {
-    score / seq_len_with_bos.saturating_sub(1).max(1) as f32
 }
 
 impl Module for Seq2SeqTransformer {
@@ -767,74 +661,6 @@ mod tests {
         }
         let out = model.generate(&vocab.encode("ab", false), 8, 0.0, &mut rng);
         assert_eq!(vocab.decode(&out), "ab");
-    }
-
-    #[test]
-    fn beam_search_matches_copy_task_too() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let vocab = CharVocab::build(["abcd"]);
-        let model = Seq2SeqTransformer::new(TransformerConfig::tiny(vocab.len()), &mut rng);
-        let pairs: Vec<(Vec<usize>, Vec<usize>)> = ["ab", "cd", "ad", "bc"]
-            .iter()
-            .map(|s| (vocab.encode(s, false), vocab.encode(s, false)))
-            .collect();
-        let mut opt = Adam::new(model.parameters(), 3e-3);
-        for _ in 0..150 {
-            for (src, tgt) in &pairs {
-                model.loss(src, tgt).backward();
-                opt.step();
-            }
-        }
-        let out = model.generate_beam(&vocab.encode("cd", false), 8, 3);
-        assert_eq!(vocab.decode(&out), "cd");
-    }
-
-    #[test]
-    fn length_normalization_excludes_bos() {
-        // One generated token after the BOS divides by 1, not 2.
-        assert_eq!(length_normalized(-3.0, 2), -3.0);
-        // Three generated tokens divide by 3.
-        assert_eq!(length_normalized(-6.0, 4), -2.0);
-        // A bare [BOS] beam must not divide by zero.
-        assert_eq!(length_normalized(-1.0, 1), -1.0);
-    }
-
-    #[test]
-    fn beam_order_is_stable_on_trained_model() {
-        // Pin the beam ranking on a trained toy copy-task model: every
-        // width must agree with greedy decoding on this near-deterministic
-        // distribution, i.e. length normalization must not promote a
-        // shorter spurious beam over the learned copy.
-        let mut rng = StdRng::seed_from_u64(7);
-        let vocab = CharVocab::build(["abcd"]);
-        let model = Seq2SeqTransformer::new(TransformerConfig::tiny(vocab.len()), &mut rng);
-        let pairs: Vec<(Vec<usize>, Vec<usize>)> = ["ab", "cd", "ad", "bc"]
-            .iter()
-            .map(|s| (vocab.encode(s, false), vocab.encode(s, false)))
-            .collect();
-        let mut opt = Adam::new(model.parameters(), 3e-3);
-        for _ in 0..150 {
-            for (src, tgt) in &pairs {
-                model.loss(src, tgt).backward();
-                opt.step();
-            }
-        }
-        let src = vocab.encode("ad", false);
-        let greedy = model.generate(&src, 8, 0.0, &mut rng);
-        assert_eq!(vocab.decode(&greedy), "ad");
-        for width in 1..=4 {
-            let out = model.generate_beam(&src, 8, width);
-            assert_eq!(out, greedy, "beam width {width} disagrees with greedy");
-        }
-    }
-
-    #[test]
-    fn beam_search_bounds_and_specials() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let model = Seq2SeqTransformer::new(TransformerConfig::tiny(20), &mut rng);
-        let out = model.generate_beam(&[4, 5], 5, 4);
-        assert!(out.len() <= 5);
-        assert!(out.iter().all(|&id| id != PAD && id != BOS && id != EOS));
     }
 
     #[test]

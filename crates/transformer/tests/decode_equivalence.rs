@@ -190,23 +190,3 @@ fn batch_decoder_counts_kv_steps() {
         "missing counter in {report}"
     );
 }
-
-#[test]
-fn forked_lane_continues_bit_identically() {
-    // A forked lane must produce exactly the logits the original would.
-    let model = tiny_model(9);
-    let enc = model.encode_source(&[4, 5, 6, 7]);
-    let mut a = BatchDecoder::new(&model, &enc, 1);
-    a.step(&[(0, BOS)]);
-    a.step(&[(0, 5)]);
-    let fork = a.fork_lane(0);
-    let la = a.step(&[(0, 6)]);
-    let lf = a.step(&[(fork, 6)]);
-    for (x, y) in la.row(0).iter().zip(lf.row(0)) {
-        assert_eq!(x.to_bits(), y.to_bits());
-    }
-    // And retain_lanes keeps the surviving cache intact.
-    a.retain_lanes(&[fork]);
-    assert_eq!(a.n_lanes(), 1);
-    assert_eq!(a.lane_len(0), 3);
-}

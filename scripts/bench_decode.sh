@@ -9,8 +9,8 @@
 # lane count in the mode segment ("batch8"); this script converts medians
 # into tokens-per-second and tabulates the speedup of each cached mode over
 # the full re-decode at the same length. The serd_synthesize median is also
-# compared against the serial baseline recorded in BENCH_parallel.json
-# before this layer existed (5,848,900,513 ns).
+# compared against the serial baseline measured before this layer existed
+# (5,848,900,513 ns).
 #
 # Usage: scripts/bench_decode.sh [extra cargo-bench filter]
 set -uo pipefail
