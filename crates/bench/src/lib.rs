@@ -1,5 +1,5 @@
 //! Shared scaffolding for the `exp_*` experiment binaries (one per paper
-//! table/figure) and the Criterion micro-benchmarks.
+//! table/figure). The benchmark is `serdbench/`, a workspace of its own.
 //!
 //! Every experiment binary reads an optional scale factor from the
 //! `SERD_SCALE` environment variable (a multiplier on the per-dataset

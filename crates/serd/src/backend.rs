@@ -143,6 +143,13 @@ impl TabularBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use datagen::{generate, DatasetKind};
+    use er_core::Relation;
+    use gan::{DpGanConfig, TabularGanConfig};
+    use marginals::MarginalsConfig;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::time::Instant;
 
     #[test]
     fn backend_names_roundtrip() {
@@ -152,5 +159,60 @@ mod tests {
         }
         assert_eq!(Backend::parse("frobnicator"), None);
         assert_eq!(Backend::parse("GAN"), None, "names are case-sensitive");
+    }
+
+    /// The marginals backend's reason to exist: on the same pooled rows, at
+    /// the σ grid point whose ε is closest to the DP-GAN's, measuring the
+    /// marginals (best of 3) takes less time than training the GAN. Only
+    /// the backend step is timed; a full `fit`'s GMM and text-model costs
+    /// are the same for both.
+    #[test]
+    fn marginals_fit_is_faster_than_dp_gan_at_matched_epsilon() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let sim = generate(DatasetKind::Restaurant, 0.03, &mut rng);
+        let (a, b) = (sim.er.a(), sim.er.b());
+        let mut pooled = Relation::new("pooled", a.schema().clone());
+        for e in a.entities().iter().chain(b.entities()) {
+            pooled.push_entity(e.clone()).expect("schema-valid row");
+        }
+
+        let gan_cfg = TabularGanConfig {
+            dp: Some(DpGanConfig {
+                clip: 1.0,
+                sigma: 1.0,
+            }),
+            ..TabularGanConfig::default()
+        };
+        let t = Instant::now();
+        let gan = TabularGan::train(&pooled, gan_cfg, &mut rng);
+        let gan_time = t.elapsed();
+        assert!(gan.epsilon() > 0.0, "the GAN must train under DP-SGD");
+
+        let (cfg, _) = [32.0, 16.0, 8.0, 4.0, 2.0, 1.0]
+            .into_iter()
+            .map(|sigma| {
+                let cfg = MarginalsConfig {
+                    sigma,
+                    ..MarginalsConfig::default()
+                };
+                let eps = MarginalSynthesizer::measure(a, b, &cfg, &mut rng).epsilon();
+                (cfg, (eps - gan.epsilon()).abs())
+            })
+            .min_by(|x, y| x.1.total_cmp(&y.1))
+            .expect("non-empty σ grid");
+        let marginals_time = (0..3)
+            .map(|_| {
+                let t = Instant::now();
+                MarginalSynthesizer::measure(a, b, &cfg, &mut rng);
+                t.elapsed()
+            })
+            .min()
+            .expect("three runs");
+        assert!(
+            marginals_time < gan_time,
+            "marginals at σ = {} took {marginals_time:?}, DP-GAN at ε = {:.3} took {gan_time:?}",
+            cfg.sigma,
+            gan.epsilon()
+        );
     }
 }

@@ -112,9 +112,11 @@ fn line_str(buf: &[u8]) -> Result<&str, ApiError> {
     std::str::from_utf8(buf).map_err(|_| bad("header line is not UTF-8"))
 }
 
-/// Percent-decodes a query component (`%XX` escapes, `+` as space).
+/// Percent-decodes a query component (`%XX` escapes, `+` as space). An
+/// escape needs exactly two ASCII hex digits; any other `%` stays literal.
 pub fn percent_decode(s: &str) -> String {
     let bytes = s.as_bytes();
+    let hex = |k: usize| bytes.get(k).and_then(|&c| char::from(c).to_digit(16));
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {
@@ -123,20 +125,16 @@ pub fn percent_decode(s: &str) -> String {
                 out.push(b' ');
                 i += 1;
             }
-            b'%' => {
-                let hex = bytes.get(i + 1..i + 3);
-                match hex.and_then(|h| u8::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok())
-                {
-                    Some(b) => {
-                        out.push(b);
-                        i += 3;
-                    }
-                    None => {
-                        out.push(b'%');
-                        i += 1;
-                    }
+            b'%' => match hex(i + 1).zip(hex(i + 2)) {
+                Some((hi, lo)) => {
+                    out.push((hi << 4 | lo) as u8);
+                    i += 3;
                 }
-            }
+                None => {
+                    out.push(b'%');
+                    i += 1;
+                }
+            },
             b => {
                 out.push(b);
                 i += 1;
@@ -412,9 +410,12 @@ mod tests {
 
     #[test]
     fn percent_decoding_applies_to_path_and_query() {
-        let req = parse("GET /a%20b?name=x%2By&plus=a+b HTTP/1.1\r\n\r\n").unwrap();
-        assert_eq!(req.path, "/a b");
+        let req = parse("GET /a%20b%2b?name=x%2By&sign=%+A&plus=a+b HTTP/1.1\r\n\r\n").unwrap();
+        assert_eq!(req.path, "/a b+");
         assert_eq!(req.query_value("name"), Some("x+y"));
+        // A sign is not a hex digit: `%+A` is no escape (not `\n`), so the
+        // `%` stays literal and the `+` is an ordinary space.
+        assert_eq!(req.query_value("sign"), Some("% A"));
         assert_eq!(req.query_value("plus"), Some("a b"));
     }
 

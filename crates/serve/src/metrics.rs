@@ -52,17 +52,22 @@ impl EndpointLat {
         }
     }
 
+    /// Nearest-rank percentile (`p` in `[0, 1]`) of ascending `sorted`: the
+    /// `ceil(p·n)`-th smallest sample, clamped to `[1, n]`. The product is
+    /// rounded to 1e-9 first so a decimal `p` that binary floats cannot hold
+    /// exactly does not round up a whole rank. 0 when empty.
     fn percentile(sorted: &[f64], p: f64) -> f64 {
         if sorted.is_empty() {
             return 0.0;
         }
-        let rank = (p * (sorted.len() - 1) as f64).round() as usize;
-        sorted[rank.min(sorted.len() - 1)]
+        let exact = p * sorted.len() as f64;
+        let rank = ((exact * 1e9).round() / 1e9).ceil() as usize;
+        sorted[rank.clamp(1, sorted.len()) - 1]
     }
 
     fn to_json(&self, endpoint: &str) -> String {
         let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        sorted.sort_by(f64::total_cmp);
         let mean = if self.count == 0 {
             0.0
         } else {
@@ -360,10 +365,13 @@ mod tests {
             lat.record(ms as f64);
         }
         let mut sorted = lat.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        // Nearest-rank on 100 samples: round(0.5 * 99) = 50 -> value 51.
-        assert_eq!(EndpointLat::percentile(&sorted, 0.50), 51.0);
+        sorted.sort_by(f64::total_cmp);
+        // Nearest rank on 100 samples: the ceil(p·100)-th smallest.
+        assert_eq!(EndpointLat::percentile(&sorted, 0.50), 50.0);
         assert_eq!(EndpointLat::percentile(&sorted, 0.99), 99.0);
+        assert_eq!(EndpointLat::percentile(&sorted, 0.0), 1.0);
+        assert_eq!(EndpointLat::percentile(&sorted, 1.0), 100.0);
+        assert_eq!(EndpointLat::percentile(&[], 0.5), 0.0);
         assert_eq!(lat.max_ms, 100.0);
         assert_eq!(lat.count, 100);
         assert_eq!(lat.buckets.iter().sum::<u64>(), 100);
