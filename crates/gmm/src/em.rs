@@ -72,19 +72,18 @@ impl SuffStats {
                 *s += r * xi;
             }
             let d = x.len();
-            let sxx = &mut self.sum_xx[k];
-            for i in 0..d {
-                let rxi = r * x[i];
-                for j in 0..d {
-                    let v = sxx.get(i, j) + rxi * x[j];
-                    sxx.set(i, j, v);
+            let sxx = self.sum_xx[k].as_mut_slice();
+            for (i, &xi) in x.iter().enumerate() {
+                let rxi = r * xi;
+                for (s, &xj) in sxx[i * d..(i + 1) * d].iter_mut().zip(x) {
+                    *s += rxi * xj;
                 }
             }
         }
         self.n += 1.0;
     }
 
-    /// Merges another set of statistics (Eq. 9's accumulation).
+    /// Merges another set of statistics in place (Eq. 9's accumulation).
     pub fn merge(&mut self, other: &SuffStats) {
         assert_eq!(self.components(), other.components());
         for k in 0..self.components() {
@@ -92,10 +91,15 @@ impl SuffStats {
             for (s, &o) in self.sum_x[k].iter_mut().zip(&other.sum_x[k]) {
                 *s += o;
             }
-            self.sum_xx[k] = self
-                .sum_xx[k]
-                .add(&other.sum_xx[k])
-                .expect("same dimensions");
+            assert_eq!(
+                self.sum_xx[k].shape(),
+                other.sum_xx[k].shape(),
+                "same dimensions"
+            );
+            let sxx = self.sum_xx[k].as_mut_slice();
+            for (s, &o) in sxx.iter_mut().zip(other.sum_xx[k].as_slice()) {
+                *s += o;
+            }
         }
         self.n += other.n;
     }

@@ -4,7 +4,7 @@ use crate::{GmmError, Result};
 use linalg::{Cholesky, Matrix};
 use rand::Rng;
 
-const LN_2PI: f64 = 1.837877066409345483560659472811;
+pub(crate) const LN_2PI: f64 = 1.837877066409345483560659472811;
 
 // `rand` 0.8 ships the Gaussian sampler in the separate `rand_distr` crate;
 // Box–Muller below keeps the dependency tree at just `rand`.
@@ -76,12 +76,21 @@ impl Gaussian {
 
     /// Log-density at `x`.
     pub fn log_pdf(&self, x: &[f64]) -> f64 {
-        debug_assert_eq!(x.len(), self.mean.len());
-        let diff: Vec<f64> = x.iter().zip(&self.mean).map(|(&a, &m)| a - m).collect();
+        self.log_pdf_with(x, &mut vec![0.0; self.dim()])
+    }
+
+    /// [`Gaussian::log_pdf`] over a caller's scratch buffer of length
+    /// [`Gaussian::dim`], which receives the whitened difference. Allocates
+    /// nothing, so EM can evaluate every point of a chunk with one buffer.
+    pub(crate) fn log_pdf_with(&self, x: &[f64], scratch: &mut [f64]) -> f64 {
+        assert_eq!(x.len(), self.mean.len(), "point dimension");
+        for ((s, &a), &m) in scratch.iter_mut().zip(x).zip(&self.mean) {
+            *s = a - m;
+        }
         let maha = self
             .chol
-            .mahalanobis_sq(&diff)
-            .expect("dimension checked at construction");
+            .mahalanobis_sq_in_place(scratch)
+            .expect("scratch has the component's dimension");
         self.log_norm - 0.5 * maha
     }
 

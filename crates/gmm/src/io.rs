@@ -47,6 +47,24 @@ pub fn gmm_from_str(text: &str) -> Result<Gmm> {
     let d: usize = parse_kv(lines.next(), "dim")?;
     let reg_covar = hex_to_f64(&parse_kv::<String>(lines.next(), "reg_covar")?)?;
     let n = hex_to_f64(&parse_kv::<String>(lines.next(), "n")?)?;
+    // `g` and `d` size the allocations below, so bound them by what the rest
+    // of the text can hold first: each component takes 6 lines, and its
+    // `cov` line holds d² hex tokens of 16 digits.
+    let rest_lines = lines.clone().count();
+    let rest_bytes: usize = lines.clone().map(str::len).sum();
+    let cov_bytes = d
+        .checked_mul(d)
+        .and_then(|dd| dd.checked_mul(g))
+        .and_then(|t| t.checked_mul(16));
+    if g == 0
+        || g.checked_mul(6).is_none_or(|l| l > rest_lines)
+        || cov_bytes.is_none_or(|b| b > rest_bytes)
+    {
+        return Err(GmmError::Parse(format!(
+            "{g} components of dimension {d} do not fit in the {rest_lines} lines \
+             ({rest_bytes} bytes) that follow"
+        )));
+    }
 
     let mut weights = Vec::with_capacity(g);
     let mut components = Vec::with_capacity(g);
@@ -282,6 +300,26 @@ mod tests {
             .map(|l| format!("{l}\n"))
             .collect();
         assert!(OMixture::from_persist_str(&cut).is_err());
+    }
+
+    #[test]
+    fn header_counts_beyond_the_text_are_parse_errors() {
+        let text = gmm_to_string(&fitted(12));
+        assert!(gmm_from_str(&text).is_ok());
+        for (line, bad) in [
+            ("components 2", "components 100000000000"),
+            ("components 2", "components 0"),
+            ("components 2", "components 3"),
+            ("dim 2", "dim 100000000000"),
+            ("dim 2", "dim 4294967296"),
+            ("dim 2", "dim 18446744073709551615"),
+        ] {
+            let edited = text.replacen(line, bad, 1);
+            assert!(
+                matches!(gmm_from_str(&edited), Err(GmmError::Parse(_))),
+                "{bad:?} accepted"
+            );
+        }
     }
 
     #[test]

@@ -4,42 +4,138 @@
 use crate::em::SuffStats;
 use crate::gaussian::Gaussian;
 use crate::{log_sum_exp, GmmError, Result};
+use linalg::RowArena;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Fixed E-step chunk size. A function of nothing — chunk boundaries must
-/// not depend on thread count, or the merge order (and therefore the f64
-/// accumulation) would change with the machine.
+/// Fixed E-step chunk size, in rows. A function of nothing — chunk
+/// boundaries must not depend on thread count, or the merge order (and
+/// therefore the f64 accumulation) would change with the machine.
 const EM_CHUNK: usize = 256;
 
-/// One EM E-step over `data`: per-chunk sufficient statistics, log-likelihood
-/// sums, and worst-fit points are computed independently and merged in chunk
-/// order, so the result is bit-identical at any thread count.
+/// EM's input: `n` points of dimension `d` in one row-major buffer, so every
+/// pass streams through contiguous memory instead of `n` separately
+/// allocated rows. `n` is kept apart because `d` may be 0.
+#[derive(Clone, Copy)]
+struct Points<'a> {
+    flat: &'a [f64],
+    n: usize,
+    d: usize,
+}
+
+impl<'a> Points<'a> {
+    /// The `n` rows of `rows`.
+    fn new(rows: &'a RowArena<f64>, n: usize) -> Self {
+        Points {
+            flat: rows.data(),
+            n,
+            d: rows.cols(),
+        }
+    }
+
+    fn row(&self, i: usize) -> &'a [f64] {
+        &self.flat[i * self.d..(i + 1) * self.d]
+    }
+
+    fn iter(self) -> impl Iterator<Item = &'a [f64]> {
+        (0..self.n).map(move |i| self.row(i))
+    }
+}
+
+/// Checks that `data` is nonempty and of one dimension, and copies it into
+/// one flat buffer.
+fn flatten(data: &[Vec<f64>]) -> Result<RowArena<f64>> {
+    let Some(first) = data.first() else {
+        return Err(GmmError::EmptyData);
+    };
+    let d = first.len();
+    let mut rows = RowArena::with_row_capacity(d, data.len());
+    for x in data {
+        if x.len() != d {
+            return Err(GmmError::DimensionMismatch {
+                expected: d,
+                got: x.len(),
+            });
+        }
+        rows.push_row(x);
+    }
+    Ok(rows)
+}
+
+/// `ln max(π_k, 1e-300)` per component.
+fn log_weights(weights: &[f64]) -> Vec<f64> {
+    weights.iter().map(|&w| w.max(1e-300).ln()).collect()
+}
+
+/// Evaluates one mixture at many points without allocating per point: the
+/// log-weights are computed by the caller once, and the whitened difference
+/// and the per-component row are buffers reused from point to point. Every
+/// density in this module goes through it, so EM, AIC and the public
+/// queries share one arithmetic path.
+struct Evaluator<'m> {
+    components: &'m [Gaussian],
+    log_w: &'m [f64],
+    diff: Vec<f64>,
+    row: Vec<f64>,
+}
+
+impl<'m> Evaluator<'m> {
+    fn new(components: &'m [Gaussian], log_w: &'m [f64]) -> Self {
+        Evaluator {
+            components,
+            log_w,
+            diff: vec![0.0; components.first().map_or(0, Gaussian::dim)],
+            row: vec![0.0; components.len()],
+        }
+    }
+
+    /// `log p(x)`; leaves `ln π_k + log N(x; μ_k, Σ_k)` in the row.
+    fn log_pdf(&mut self, x: &[f64]) -> f64 {
+        for ((l, c), &lw) in self.row.iter_mut().zip(self.components).zip(self.log_w) {
+            *l = lw + c.log_pdf_with(x, &mut self.diff);
+        }
+        log_sum_exp(&self.row)
+    }
+
+    /// `log p(x)` and the responsibilities `γ_k(x)` (Eq. 5 / Eq. 8).
+    fn responsibilities(&mut self, x: &[f64]) -> (f64, &[f64]) {
+        let norm = self.log_pdf(x);
+        for l in &mut self.row {
+            *l = (*l - norm).exp();
+        }
+        (norm, &self.row)
+    }
+}
+
+/// One EM E-step over `points`: per-chunk sufficient statistics,
+/// log-likelihood sums, and worst-fit points are computed independently and
+/// merged in chunk order, so the result is bit-identical at any thread count.
+/// Each chunk evaluates its points over one [`Evaluator`], so nothing is
+/// allocated per point.
 fn e_step(
-    data: &[Vec<f64>],
+    points: Points<'_>,
     components: &[Gaussian],
     weights: &[f64],
-    g: usize,
-    d: usize,
 ) -> (SuffStats, f64, (f64, usize)) {
-    let partials = parallel::par_chunk_map(data, EM_CHUNK, |ci, chunk| {
+    let (g, d) = (components.len(), points.d);
+    let log_w = log_weights(weights);
+    // Zero-sized stand-ins for the rows: `par_chunk_map` cuts them every
+    // EM_CHUNK rows, and a `Vec<()>` never allocates.
+    let marks = vec![(); points.n];
+    let partials = parallel::par_chunk_map(&marks, EM_CHUNK, |ci, chunk| {
         let base = ci * EM_CHUNK;
+        let mut eval = Evaluator::new(components, &log_w);
         let mut stats = SuffStats::zeros(g, d);
         let mut ll = 0.0;
         let mut worst: (f64, usize) = (f64::INFINITY, 0);
-        for (off, x) in chunk.iter().enumerate() {
-            let logs: Vec<f64> = components
-                .iter()
-                .zip(weights)
-                .map(|(c, &w)| w.max(1e-300).ln() + c.log_pdf(x))
-                .collect();
-            let norm = log_sum_exp(&logs);
+        for i in base..base + chunk.len() {
+            let x = points.row(i);
+            let (norm, resp) = eval.responsibilities(x);
             ll += norm;
             if norm < worst.0 {
-                worst = (norm, base + off);
+                worst = (norm, i);
             }
-            let resp: Vec<f64> = logs.iter().map(|&l| (l - norm).exp()).collect();
-            stats.add_point(x, &resp);
+            stats.add_point(x, resp);
         }
         (stats, ll, worst)
     });
@@ -105,17 +201,28 @@ impl Gmm {
         config: &GmmConfig,
         rng: &mut R,
     ) -> Result<Gmm> {
-        let d = validate(data)?;
+        let rows = flatten(data)?;
+        Gmm::fit_points(Points::new(&rows, data.len()), g, config, rng)
+    }
+
+    /// [`Gmm::fit`] over validated, flattened points.
+    fn fit_points<R: Rng + ?Sized>(
+        points: Points<'_>,
+        g: usize,
+        config: &GmmConfig,
+        rng: &mut R,
+    ) -> Result<Gmm> {
+        let d = points.d;
         let g = g.max(1);
-        if data.len() < g {
+        if points.n < g {
             return Err(GmmError::TooFewPoints {
-                points: data.len(),
+                points: points.n,
                 components: g,
             });
         }
 
-        let var = data_variance(data, d).max(1e-6);
-        let mut components = init_components(data, g, var, rng)?;
+        let var = data_variance(points).max(1e-6);
+        let mut components = init_components(points, g, var, rng)?;
         let mut weights = vec![1.0 / g as f64; g];
 
         let mut prev_ll = f64::NEG_INFINITY;
@@ -127,11 +234,11 @@ impl Gmm {
         for _ in 0..config.max_iters {
             // E-step: responsibilities + log-likelihood, folded into stats.
             // Runs chunk-parallel; see `e_step` for the determinism argument.
-            let e = e_step(data, &components, &weights, g, d);
+            let e = e_step(points, &components, &weights);
             stats = e.0;
             let mut ll = e.1;
             let worst = e.2;
-            ll /= data.len() as f64;
+            ll /= points.n as f64;
             if obs::enabled() {
                 ll_trace.push(ll);
             }
@@ -145,9 +252,8 @@ impl Gmm {
                     }
                     None => {
                         // Collapsed component: re-seed at the worst-fit point.
-                        weights[k] = 1.0 / data.len() as f64;
-                        components[k] =
-                            Gaussian::isotropic(data[worst.1].clone(), var)?;
+                        weights[k] = 1.0 / points.n as f64;
+                        components[k] = Gaussian::isotropic(points.row(worst.1).to_vec(), var)?;
                     }
                 }
             }
@@ -181,15 +287,18 @@ impl Gmm {
         // initialization no longer depends on how earlier candidates consumed
         // the caller's RNG, and the sweep is reproducible at any thread count.
         let master: u64 = rng.gen();
+        // One flat copy of the rows, read by every candidate fit.
+        let rows = flatten(data)?;
+        let points = Points::new(&rows, data.len());
         let candidates: Vec<usize> = (1..=config.max_components.max(1))
-            .take_while(|&g| data.len() >= g.max(2))
+            .take_while(|&g| points.n >= g.max(2))
             .collect();
         let fits = parallel::par_map(&candidates, |&g| {
             let mut grng =
                 StdRng::seed_from_u64(parallel::split_seed(master, g as u64));
-            Gmm::fit(data, g, config, &mut grng)
+            Gmm::fit_points(points, g, config, &mut grng)
                 .ok()
-                .map(|model| (model.aic(data), model, g))
+                .map(|model| (model.aic_from(model.sum_log_pdf(points.iter())), model, g))
         });
         let mut best: Option<(f64, Gmm, usize)> = None;
         for fit in fits.into_iter().flatten() {
@@ -202,7 +311,7 @@ impl Gmm {
             Some((_, m, g)) => (m, g),
             None => {
                 // Fall back to a single component (possible when data is tiny).
-                (Gmm::fit(data, 1, config, rng)?, 1)
+                (Gmm::fit_points(points, 1, config, rng)?, 1)
             }
         };
         // A histogram (not a gauge) so both the M- and N-side sweeps of one
@@ -271,15 +380,15 @@ impl Gmm {
         })
     }
 
+    /// Runs `f` over an [`Evaluator`] of this mixture.
+    fn with_evaluator<T>(&self, f: impl FnOnce(&mut Evaluator<'_>) -> T) -> T {
+        let log_w = log_weights(&self.weights);
+        f(&mut Evaluator::new(&self.components, &log_w))
+    }
+
     /// Log-density `log p(x)` under the mixture.
     pub fn log_pdf(&self, x: &[f64]) -> f64 {
-        let logs: Vec<f64> = self
-            .components
-            .iter()
-            .zip(&self.weights)
-            .map(|(c, &w)| w.max(1e-300).ln() + c.log_pdf(x))
-            .collect();
-        log_sum_exp(&logs)
+        self.with_evaluator(|eval| eval.log_pdf(x))
     }
 
     /// Density `p(x)`.
@@ -289,19 +398,17 @@ impl Gmm {
 
     /// Per-component responsibilities `γ_k(x)` (paper Eq. 5 / Eq. 8).
     pub fn responsibilities(&self, x: &[f64]) -> Vec<f64> {
-        let logs: Vec<f64> = self
-            .components
-            .iter()
-            .zip(&self.weights)
-            .map(|(c, &w)| w.max(1e-300).ln() + c.log_pdf(x))
-            .collect();
-        let norm = log_sum_exp(&logs);
-        logs.iter().map(|&l| (l - norm).exp()).collect()
+        self.with_evaluator(|eval| eval.responsibilities(x).1.to_vec())
     }
 
     /// Total log-likelihood of a dataset (paper Eq. 4).
     pub fn log_likelihood(&self, data: &[Vec<f64>]) -> f64 {
-        data.iter().map(|x| self.log_pdf(x)).sum()
+        self.sum_log_pdf(data.iter().map(Vec::as_slice))
+    }
+
+    /// `Σ log p(x)` over `xs`, in order.
+    fn sum_log_pdf<'a>(&self, xs: impl Iterator<Item = &'a [f64]>) -> f64 {
+        self.with_evaluator(|eval| xs.map(|x| eval.log_pdf(x)).sum())
     }
 
     /// Number of free parameters: `g-1` weights + `g d` means + `g d(d+1)/2`
@@ -314,7 +421,12 @@ impl Gmm {
 
     /// Akaike information criterion `2k - 2 log L` (lower is better).
     pub fn aic(&self, data: &[Vec<f64>]) -> f64 {
-        2.0 * self.num_params() as f64 - 2.0 * self.log_likelihood(data)
+        self.aic_from(self.log_likelihood(data))
+    }
+
+    /// AIC given the log-likelihood `log L`.
+    fn aic_from(&self, log_lik: f64) -> f64 {
+        2.0 * self.num_params() as f64 - 2.0 * log_lik
     }
 
     /// Bayesian information criterion `k ln n - 2 log L`.
@@ -362,11 +474,13 @@ impl Gmm {
             }
         }
         let g = self.num_components();
-        let mut delta = SuffStats::zeros(g, d);
-        for x in new_points {
-            let resp = self.responsibilities(x); // Eq. 8
-            delta.add_point(x, &resp);
-        }
+        let delta = self.with_evaluator(|eval| {
+            let mut delta = SuffStats::zeros(g, d);
+            for x in new_points {
+                delta.add_point(x, eval.responsibilities(x).1); // Eq. 8
+            }
+            delta
+        });
         self.stats.merge(&delta); // Eq. 9 accumulation
 
         for k in 0..g {
@@ -380,26 +494,10 @@ impl Gmm {
     }
 }
 
-fn validate(data: &[Vec<f64>]) -> Result<usize> {
-    let Some(first) = data.first() else {
-        return Err(GmmError::EmptyData);
-    };
-    let d = first.len();
-    for x in data {
-        if x.len() != d {
-            return Err(GmmError::DimensionMismatch {
-                expected: d,
-                got: x.len(),
-            });
-        }
-    }
-    Ok(d)
-}
-
-fn data_variance(data: &[Vec<f64>], d: usize) -> f64 {
-    let n = data.len() as f64;
+fn data_variance(points: Points<'_>) -> f64 {
+    let (n, d) = (points.n as f64, points.d);
     let mut mean = vec![0.0; d];
-    for x in data {
+    for x in points.iter() {
         for (m, &v) in mean.iter_mut().zip(x) {
             *m += v;
         }
@@ -408,7 +506,7 @@ fn data_variance(data: &[Vec<f64>], d: usize) -> f64 {
         *m /= n;
     }
     let mut var = 0.0;
-    for x in data {
+    for x in points.iter() {
         for (m, &v) in mean.iter().zip(x) {
             var += (v - m) * (v - m);
         }
@@ -418,15 +516,15 @@ fn data_variance(data: &[Vec<f64>], d: usize) -> f64 {
 
 /// Farthest-point (k-means++-flavored) mean initialization.
 fn init_components<R: Rng + ?Sized>(
-    data: &[Vec<f64>],
+    points: Points<'_>,
     g: usize,
     var: f64,
     rng: &mut R,
 ) -> Result<Vec<Gaussian>> {
     let mut means: Vec<Vec<f64>> = Vec::with_capacity(g);
-    means.push(data[rng.gen_range(0..data.len())].clone());
+    means.push(points.row(rng.gen_range(0..points.n)).to_vec());
     while means.len() < g {
-        let far = data
+        let far = points
             .iter()
             .max_by(|a, b| {
                 let da = min_dist2(a, &means);
@@ -442,7 +540,7 @@ fn init_components<R: Rng + ?Sized>(
             }
             means.push(m);
         } else {
-            means.push(far.clone());
+            means.push(far.to_vec());
         }
     }
     means
@@ -612,6 +710,222 @@ mod tests {
                 base.iter().zip(&other).all(|(a, b)| a.to_bits() == b.to_bits()),
                 "fit_auto differs at {threads} threads"
             );
+        }
+    }
+
+    /// The E-step as it was written before the flat-row kernel: a `Vec` per
+    /// difference, log row and responsibility row, the textbook
+    /// forward-substitution loop, `get`/`set` accumulation and the
+    /// `Matrix::add` merge. The kernel must reproduce it bit for bit, not
+    /// just agree with itself across thread counts.
+    #[allow(clippy::needless_range_loop)] // the indexed loops are the reference
+    mod reference {
+        use crate::gaussian::LN_2PI;
+        use crate::{log_sum_exp, Gaussian, SuffStats};
+        use linalg::Cholesky;
+
+        pub struct Density {
+            mean: Vec<f64>,
+            chol: Cholesky,
+            log_norm: f64,
+        }
+
+        /// `Gaussian::new` factors the covariance it stores (jitter
+        /// included), so factoring `cov()` again gives the same `L`.
+        pub fn density(c: &Gaussian) -> Density {
+            let chol = Cholesky::new(c.cov()).unwrap();
+            let log_norm = -0.5 * (c.dim() as f64 * LN_2PI + chol.log_det());
+            Density {
+                mean: c.mean().to_vec(),
+                chol,
+                log_norm,
+            }
+        }
+
+        fn log_pdf(c: &Density, x: &[f64]) -> f64 {
+            let diff: Vec<f64> = x.iter().zip(&c.mean).map(|(&a, &m)| a - m).collect();
+            let n = diff.len();
+            let mut y = vec![0.0; n];
+            for i in 0..n {
+                let mut sum = diff[i];
+                for k in 0..i {
+                    sum -= c.chol.l().get(i, k) * y[k];
+                }
+                y[i] = sum / c.chol.l().get(i, i);
+            }
+            let maha: f64 = y.iter().map(|&v| v * v).sum();
+            c.log_norm - 0.5 * maha
+        }
+
+        fn logs(ds: &[Density], weights: &[f64], x: &[f64]) -> Vec<f64> {
+            ds.iter()
+                .zip(weights)
+                .map(|(c, &w)| w.max(1e-300).ln() + log_pdf(c, x))
+                .collect()
+        }
+
+        pub fn responsibilities(ds: &[Density], weights: &[f64], x: &[f64]) -> Vec<f64> {
+            let logs = logs(ds, weights, x);
+            let norm = log_sum_exp(&logs);
+            logs.iter().map(|&l| (l - norm).exp()).collect()
+        }
+
+        fn add_point(st: &mut SuffStats, x: &[f64], resp: &[f64]) {
+            for (k, &r) in resp.iter().enumerate() {
+                if r == 0.0 {
+                    continue;
+                }
+                st.gamma[k] += r;
+                for (s, &xi) in st.sum_x[k].iter_mut().zip(x) {
+                    *s += r * xi;
+                }
+                let d = x.len();
+                let sxx = &mut st.sum_xx[k];
+                for i in 0..d {
+                    let rxi = r * x[i];
+                    for j in 0..d {
+                        let v = sxx.get(i, j) + rxi * x[j];
+                        sxx.set(i, j, v);
+                    }
+                }
+            }
+            st.n += 1.0;
+        }
+
+        fn merge(st: &mut SuffStats, other: &SuffStats) {
+            for k in 0..st.components() {
+                st.gamma[k] += other.gamma[k];
+                for (s, &o) in st.sum_x[k].iter_mut().zip(&other.sum_x[k]) {
+                    *s += o;
+                }
+                st.sum_xx[k] = st.sum_xx[k].add(&other.sum_xx[k]).unwrap();
+            }
+            st.n += other.n;
+        }
+
+        /// Serial over the same `EM_CHUNK` chunks, merged in chunk order.
+        pub fn e_step(
+            data: &[Vec<f64>],
+            ds: &[Density],
+            weights: &[f64],
+            chunk_rows: usize,
+        ) -> (SuffStats, f64, (f64, usize)) {
+            let (g, d) = (ds.len(), data[0].len());
+            let mut stats = SuffStats::zeros(g, d);
+            let mut ll = 0.0;
+            let mut worst: (f64, usize) = (f64::INFINITY, 0);
+            for (ci, chunk) in data.chunks(chunk_rows).enumerate() {
+                let base = ci * chunk_rows;
+                let mut cstats = SuffStats::zeros(g, d);
+                let mut cll = 0.0;
+                let mut cworst: (f64, usize) = (f64::INFINITY, 0);
+                for (off, x) in chunk.iter().enumerate() {
+                    let logs = logs(ds, weights, x);
+                    let norm = log_sum_exp(&logs);
+                    cll += norm;
+                    if norm < cworst.0 {
+                        cworst = (norm, base + off);
+                    }
+                    let resp: Vec<f64> = logs.iter().map(|&l| (l - norm).exp()).collect();
+                    add_point(&mut cstats, x, &resp);
+                }
+                merge(&mut stats, &cstats);
+                ll += cll;
+                if cworst.0 < worst.0 {
+                    worst = cworst;
+                }
+            }
+            (stats, ll, worst)
+        }
+
+        pub fn log_likelihood(ds: &[Density], weights: &[f64], data: &[Vec<f64>]) -> f64 {
+            data.iter()
+                .map(|x| log_sum_exp(&logs(ds, weights, x)))
+                .sum()
+        }
+    }
+
+    /// A random `g`-component mixture in `d` dimensions and `n` points drawn
+    /// from it. The last component (when `g > 1`) has weight zero, the second
+    /// has a rank-one covariance (factored with jitter), and the middle point
+    /// is a far outlier.
+    fn random_case(
+        rng: &mut StdRng,
+        g: usize,
+        d: usize,
+        n: usize,
+    ) -> (Vec<Gaussian>, Vec<f64>, Vec<Vec<f64>>) {
+        use linalg::Matrix;
+        let components: Vec<Gaussian> = (0..g)
+            .map(|k| {
+                let mean: Vec<f64> = (0..d).map(|_| rng.gen::<f64>()).collect();
+                let cov = if k == 1 {
+                    Matrix::outer(&mean, &mean)
+                } else {
+                    let b: Vec<f64> = (0..d * d).map(|_| rng.gen::<f64>() - 0.5).collect();
+                    let b = Matrix::from_vec(d, d, b);
+                    let mut cov = b.matmul(&b.transpose()).unwrap().scale(0.1);
+                    cov.add_diag(1e-3);
+                    cov
+                };
+                Gaussian::new(mean, cov).unwrap()
+            })
+            .collect();
+        let mut weights: Vec<f64> = (0..g).map(|_| rng.gen::<f64>() + 0.1).collect();
+        if g > 1 {
+            weights[g - 1] = 0.0;
+        }
+        normalize(&mut weights);
+        let mut data: Vec<Vec<f64>> = (0..n)
+            .map(|_| components[rng.gen_range(0..g)].sample(rng))
+            .collect();
+        data[n / 2] = vec![1e3; d];
+        (components, weights, data)
+    }
+
+    fn stats_bits(st: &SuffStats) -> Vec<u64> {
+        let mut v: Vec<f64> = st.gamma.clone();
+        v.extend(st.sum_x.iter().flatten());
+        v.extend(st.sum_xx.iter().flat_map(|m| m.as_slice().iter()));
+        v.push(st.n);
+        v.into_iter().map(f64::to_bits).collect()
+    }
+
+    #[test]
+    fn e_step_and_log_likelihood_match_the_per_point_reference_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(2024);
+        for g in 1..=4 {
+            for d in 1..=6 {
+                for n in [1, 255, 256, 257, 1000] {
+                    let case = format!("g={g} d={d} n={n}");
+                    let (components, weights, data) = random_case(&mut rng, g, d, n);
+                    let dens: Vec<_> = components.iter().map(reference::density).collect();
+                    let (want_stats, want_ll, want_worst) =
+                        reference::e_step(&data, &dens, &weights, EM_CHUNK);
+                    let rows = flatten(&data).unwrap();
+                    let (stats, ll, worst) = e_step(Points::new(&rows, n), &components, &weights);
+                    assert_eq!(stats_bits(&stats), stats_bits(&want_stats), "stats, {case}");
+                    assert_eq!(ll.to_bits(), want_ll.to_bits(), "log-likelihood, {case}");
+                    assert_eq!(worst.0.to_bits(), want_worst.0.to_bits(), "worst, {case}");
+                    assert_eq!(worst.1, want_worst.1, "worst index, {case}");
+
+                    let gmm = Gmm::from_parts(weights.clone(), components, stats, 1e-6).unwrap();
+                    let want = reference::log_likelihood(&dens, &weights, &data);
+                    assert_eq!(
+                        gmm.log_likelihood(&data).to_bits(),
+                        want.to_bits(),
+                        "{case}"
+                    );
+                    let resp = gmm.responsibilities(&data[0]);
+                    let want = reference::responsibilities(&dens, &weights, &data[0]);
+                    assert!(
+                        resp.iter()
+                            .zip(&want)
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "responsibilities, {case}"
+                    );
+                }
+            }
         }
     }
 

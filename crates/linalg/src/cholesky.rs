@@ -74,24 +74,33 @@ impl Cholesky {
         (0..self.dim()).map(|i| self.l.get(i, i).ln()).sum::<f64>() * 2.0
     }
 
-    /// Solves `L y = b` (forward substitution).
-    pub fn solve_lower(&self, b: &[f64]) -> Result<Vec<f64>> {
+    /// Solves `L y = b` in place (forward substitution): `y` holds `b` on
+    /// entry and the solution on return. The one forward-substitution kernel
+    /// behind [`Cholesky::solve_lower`] and the Mahalanobis distances.
+    fn solve_lower_in_place(&self, y: &mut [f64]) -> Result<()> {
         let n = self.dim();
-        if b.len() != n {
+        if y.len() != n {
             return Err(LinalgError::DimensionMismatch {
                 op: "solve_lower",
                 left: (n, n),
-                right: (b.len(), 1),
+                right: (y.len(), 1),
             });
         }
-        let mut y = vec![0.0; n];
         for i in 0..n {
-            let mut sum = b[i];
-            for k in 0..i {
-                sum -= self.l.get(i, k) * y[k];
+            let row = self.l.row(i);
+            let mut sum = y[i];
+            for (&l, &yk) in row[..i].iter().zip(&y[..i]) {
+                sum -= l * yk;
             }
-            y[i] = sum / self.l.get(i, i);
+            y[i] = sum / row[i];
         }
+        Ok(())
+    }
+
+    /// Solves `L y = b` (forward substitution).
+    pub fn solve_lower(&self, b: &[f64]) -> Result<Vec<f64>> {
+        let mut y = b.to_vec();
+        self.solve_lower_in_place(&mut y)?;
         Ok(y)
     }
 
@@ -124,8 +133,14 @@ impl Cholesky {
 
     /// Squared Mahalanobis distance `d^T A^{-1} d` where `d = x - mu`.
     pub fn mahalanobis_sq(&self, diff: &[f64]) -> Result<f64> {
-        let y = self.solve_lower(diff)?;
-        Ok(y.iter().map(|&v| v * v).sum())
+        self.mahalanobis_sq_in_place(&mut diff.to_vec())
+    }
+
+    /// [`Cholesky::mahalanobis_sq`] without allocating: whitens `diff` in
+    /// place (`diff ← L⁻¹ diff`) and returns its squared norm.
+    pub fn mahalanobis_sq_in_place(&self, diff: &mut [f64]) -> Result<f64> {
+        self.solve_lower_in_place(diff)?;
+        Ok(diff.iter().map(|&v| v * v).sum())
     }
 
     /// Inverse of the original SPD matrix.
@@ -231,6 +246,30 @@ mod tests {
         let inv = c.inverse().unwrap();
         let prod = a.matmul(&inv).unwrap();
         assert!(prod.max_abs_diff(&Matrix::identity(3)) < 1e-10);
+    }
+
+    #[test]
+    #[allow(clippy::needless_range_loop)] // the indexed loop is the reference
+    fn forward_substitution_matches_the_textbook_loop_bit_for_bit() {
+        let c = Cholesky::new(&spd3()).unwrap();
+        let b = vec![0.3, -1.7, 2.25];
+        let mut expected = vec![0.0; 3];
+        for i in 0..3 {
+            let mut sum = b[i];
+            for k in 0..i {
+                sum -= c.l().get(i, k) * expected[k];
+            }
+            expected[i] = sum / c.l().get(i, i);
+        }
+        let mut y = b.clone();
+        c.solve_lower_in_place(&mut y).unwrap();
+        assert!(y
+            .iter()
+            .zip(&expected)
+            .all(|(a, e)| a.to_bits() == e.to_bits()));
+        let maha: f64 = expected.iter().map(|&v| v * v).sum();
+        assert_eq!(c.mahalanobis_sq(&b).unwrap().to_bits(), maha.to_bits());
+        assert!(c.solve_lower_in_place(&mut [1.0, 2.0]).is_err());
     }
 
     #[test]

@@ -387,10 +387,11 @@ impl SerdSynthesizer {
             let prepared = model.columns.prepare_entity(&e, &x, target_side);
             let mut chosen: Option<(Entity, RecordProfile, Vec<Vec<f64>>)> = None;
             for _attempt in 0..online.max_retries {
-                let candidate = prepared.synthesize(rng);
+                let candidate = stage("s2.decode", || prepared.synthesize(rng));
 
                 if online.reject_by_discriminator
-                    && model.backend.plausibility(&candidate) < online.beta
+                    && stage("s2.plausibility", || model.backend.plausibility(&candidate))
+                        < online.beta
                 {
                     stats.rejected_discriminator += 1;
                     continue;
@@ -400,24 +401,28 @@ impl SerdSynthesizer {
                 // The candidate is profiled once, here, and the profile is
                 // reused across every ΔX_syn comparison (and kept if the
                 // candidate is accepted).
-                let cand_prof = profiler.profile_entity(&candidate);
-                let delta = delta_vectors(
-                    &candidate,
-                    &cand_prof,
-                    source_table,
-                    source_profs,
-                    &profiler,
-                    online.t_sample,
-                    rng,
-                );
-                if online.reject_by_distribution
-                    && osyn.would_reject(
-                        &delta,
-                        &model.o_real,
-                        online.alpha,
-                        online.jsd_samples,
+                let cand_prof = stage("s2.profile", || profiler.profile_entity(&candidate));
+                let delta = stage("s2.delta_vectors", || {
+                    delta_vectors(
+                        &candidate,
+                        &cand_prof,
+                        source_table,
+                        source_profs,
+                        &profiler,
+                        online.t_sample,
                         rng,
                     )
+                });
+                if online.reject_by_distribution
+                    && stage("s2.would_reject", || {
+                        osyn.would_reject(
+                            &delta,
+                            &model.o_real,
+                            online.alpha,
+                            online.jsd_samples,
+                            rng,
+                        )
+                    })
                 {
                     stats.rejected_distribution += 1;
                     continue;
@@ -430,17 +435,19 @@ impl SerdSynthesizer {
                 None => {
                     // Every retry was rejected (or retries are disabled):
                     // synthesize one last candidate and accept it as-is.
-                    let candidate = prepared.synthesize(rng);
-                    let cand_prof = profiler.profile_entity(&candidate);
-                    let delta = delta_vectors(
-                        &candidate,
-                        &cand_prof,
-                        source_table,
-                        source_profs,
-                        &profiler,
-                        online.t_sample,
-                        rng,
-                    );
+                    let candidate = stage("s2.decode", || prepared.synthesize(rng));
+                    let cand_prof = stage("s2.profile", || profiler.profile_entity(&candidate));
+                    let delta = stage("s2.delta_vectors", || {
+                        delta_vectors(
+                            &candidate,
+                            &cand_prof,
+                            source_table,
+                            source_profs,
+                            &profiler,
+                            online.t_sample,
+                            rng,
+                        )
+                    });
                     if online.max_retries > 0 {
                         stats.forced_accepts += 1;
                     }
@@ -463,7 +470,9 @@ impl SerdSynthesizer {
                 matches.push((ai, bi));
                 stats.s2_matches += 1;
             }
-            osyn.commit(&delta, &model.o_real, &online.gmm, online.jsd_samples, rng)?;
+            stage("s2.commit", || {
+                osyn.commit(&delta, &model.o_real, &online.gmm, online.jsd_samples, rng)
+            })?;
             // The committed JSD(O_syn, O_real) trajectory (Eq. 10 left side).
             if obs::enabled() && osyn.jsd_current().is_finite() {
                 obs::series("rejection.jsd", osyn.jsd_current());
@@ -544,6 +553,14 @@ impl SerdSynthesizer {
         }
         obs::report_json()
     }
+}
+
+/// Runs `f` under the span `name`, one of S2's sub-stages (`s2.decode`,
+/// `s2.plausibility`, `s2.profile`, `s2.delta_vectors`, `s2.would_reject`,
+/// `s2.commit`), so the run report splits the rejection loop's time.
+fn stage<T>(name: &str, f: impl FnOnce() -> T) -> T {
+    let _span = obs::span(name);
+    f()
 }
 
 /// Similarity vectors between `candidate` and up to `t` random entities of

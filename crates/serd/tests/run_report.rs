@@ -56,7 +56,10 @@ fn json_run_report_covers_every_stage_and_recording_is_inert() {
     // Spans for each pipeline stage (fit/synthesize at top level, the inner
     // stages nested under them, so their names appear in the tree).
     for span in ["\"fit\"", "\"synthesize\"", "\"blocking\"", "\"similarity_vectors\"",
-                 "\"gmm.fit_auto\"", "\"transformer.train\"", "\"s3.label\""] {
+                 "\"gmm.fit_auto\"", "\"transformer.train\"", "\"s3.label\"",
+                 // S2 sub-stages, nested under `synthesize`.
+                 "\"s2.decode\"", "\"s2.plausibility\"", "\"s2.profile\"",
+                 "\"s2.delta_vectors\"", "\"s2.would_reject\"", "\"s2.commit\""] {
         assert!(report.contains(span), "missing span {span} in report:\n{report}");
     }
 

@@ -53,6 +53,38 @@ fn wrong_magic_and_version_skew_are_distinguished() {
     ));
 }
 
+// The embedded mixture's `components` and `dim` header lines size the
+// reader's buffers. Counts far beyond what the rest of the text can hold
+// used to reach the allocator and abort the process; the property tests'
+// 30-character junk lines never produce such a header.
+#[test]
+fn oversized_mixture_header_counts_error_instead_of_aborting() {
+    let lines: Vec<&str> = artifact().lines().collect();
+    let gmm = lines
+        .iter()
+        .position(|l| *l == "serd-gmm-v1")
+        .expect("artifact embeds a mixture");
+    for (key, value) in [
+        ("components", "100000000000"),
+        ("dim", "100000000000"),
+        ("dim", "4294967296"),
+    ] {
+        let li = gmm
+            + lines[gmm..]
+                .iter()
+                .position(|l| l.starts_with(&format!("{key} ")))
+                .expect("header line present");
+        let mut mutated: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+        mutated[li] = format!("{key} {value}");
+        let text = mutated.join("\n") + "\n";
+        assert!(
+            SerdModel::from_persist_str(&text).is_err(),
+            "`{key} {value}` on line {} was accepted",
+            li + 1
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
