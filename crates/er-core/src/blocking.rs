@@ -12,6 +12,7 @@
 use crate::simcache::{ProfileCache, RecordProfile};
 use crate::{ColumnType, Relation, Schema};
 use similarity::block_gram_hashes;
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 /// Gram length the pipeline blocks at (and profile caches precompute
@@ -67,8 +68,9 @@ pub fn candidate_pairs_cached(
 
 /// [`candidate_pairs`] over already-profiled record slices (the synthesis
 /// loop's S3 labeling pass, where the records were profiled one by one as
-/// they were accepted). Each profile's precomputed blocking keys are reused
-/// when they were built at this `q`, its cached lowercase string otherwise.
+/// they were accepted), indexed like `a` and `b`. Each profile's
+/// precomputed blocking keys are reused when they were built at this `q`;
+/// otherwise the relation's string is hashed.
 pub fn candidate_pairs_profiled(
     a: &Relation,
     b: &Relation,
@@ -119,7 +121,7 @@ fn block(
     let (grams_a, grams_b) = match source {
         GramSource::Relations => (relation_grams(a, col, q), relation_grams(b, col, q)),
         GramSource::Profiles(aprofs, bprofs) => {
-            (profiled_grams(aprofs, col, q), profiled_grams(bprofs, col, q))
+            (profiled_grams(a, aprofs, col, q), profiled_grams(b, bprofs, col, q))
         }
     };
     let out = sharded_join(&grams_a, &grams_b, max_bucket, shards);
@@ -134,31 +136,43 @@ fn block(
     out
 }
 
-/// Per-record sorted-unique FNV-1a gram hashes of one relation's blocking
-/// column, computed in parallel (records with no string value get no grams).
-/// Keying on `u64` hashes instead of owned gram `String`s removes the
-/// per-gram allocations; the candidate set is unchanged unless two distinct
-/// grams collide in 64 bits (probability ~ g²/2⁶⁵ corpus-wide, DESIGN.md §10).
-fn relation_grams(r: &Relation, col: usize, q: usize) -> Vec<Vec<u64>> {
-    let ids: Vec<usize> = (0..r.len()).collect();
-    parallel::par_map(&ids, |&i| match r.entity(i).value(col).as_str() {
+/// One record's sorted-unique blocking grams: borrowed from a profile or
+/// hashed from the relation's string.
+type Grams<'p> = Cow<'p, [u64]>;
+
+/// Sorted-unique FNV-1a gram hashes of record `i`'s blocking-column string
+/// (none when it has no string value). Keying on `u64` hashes instead of
+/// owned gram `String`s removes the per-gram allocations; the candidate set
+/// is unchanged unless two distinct grams collide in 64 bits (probability
+/// ~ g²/2⁶⁵ corpus-wide, DESIGN.md §10).
+fn string_grams(r: &Relation, i: usize, col: usize, q: usize) -> Vec<u64> {
+    match r.entity(i).value(col).as_str() {
         Some(s) => block_gram_hashes(&s.to_lowercase(), q),
         None => Vec::new(),
-    })
+    }
 }
 
-/// [`relation_grams`] over profiled records: reuses each profile's
-/// precomputed blocking keys when they were built at this `q`, and its
-/// cached lowercase string otherwise.
-fn profiled_grams(profs: &[RecordProfile], col: usize, q: usize) -> Vec<Vec<u64>> {
+/// Per-record grams of one relation's blocking column, computed in parallel.
+fn relation_grams(r: &Relation, col: usize, q: usize) -> Vec<Grams<'static>> {
+    let ids: Vec<usize> = (0..r.len()).collect();
+    parallel::par_map(&ids, |&i| Cow::Owned(string_grams(r, i, col, q)))
+}
+
+/// [`relation_grams`] over profiled records: borrows each profile's
+/// precomputed blocking keys when they were built at this `q`, and hashes
+/// the relation's string otherwise.
+fn profiled_grams<'p>(
+    r: &Relation,
+    profs: &'p [RecordProfile],
+    col: usize,
+    q: usize,
+) -> Vec<Grams<'p>> {
     profs
         .iter()
-        .map(|rp| match rp.col(col) {
-            Some(p) => match p.block_grams_at(q) {
-                Some(grams) => grams.to_vec(),
-                None => block_gram_hashes(p.lower(), q),
-            },
-            None => Vec::new(),
+        .enumerate()
+        .map(|(i, rp)| match rp.col(col).and_then(|p| p.block_grams_at(q)) {
+            Some(grams) => Cow::Borrowed(grams),
+            None => Cow::Owned(string_grams(r, i, col, q)),
         })
         .collect()
 }
@@ -168,14 +182,14 @@ fn profiled_grams(profs: &[RecordProfile], col: usize, q: usize) -> Vec<Vec<u64>
 /// per-gram buckets are identical to the monolithic index's — the bucket
 /// cap truncates the same ids no matter how grams are partitioned.
 fn shard_index(
-    grams: &[Vec<u64>],
+    grams: &[Grams<'_>],
     shard: u64,
     shards: u64,
     max_bucket: usize,
 ) -> HashMap<u64, Vec<usize>> {
     let mut index: HashMap<u64, Vec<usize>> = HashMap::new();
     for (id, gs) in grams.iter().enumerate() {
-        for &g in gs {
+        for &g in gs.iter() {
             if g % shards != shard {
                 continue;
             }
@@ -217,8 +231,8 @@ fn join_indexes(
 /// join, and the final global sort + dedup makes the output independent of
 /// shard count, thread count, and hash-iteration order.
 fn sharded_join(
-    grams_a: &[Vec<u64>],
-    grams_b: &[Vec<u64>],
+    grams_a: &[Grams<'_>],
+    grams_b: &[Grams<'_>],
     max_bucket: usize,
     shards: usize,
 ) -> Vec<(usize, usize)> {
@@ -297,15 +311,15 @@ mod tests {
             candidate_pairs(&a, &b, 3, 10),
             candidate_pairs_cached(&a, &b, &cache, 3, 10)
         );
-        // A q the cache didn't precompute falls back to the cached
-        // lowercase strings — still the same candidates.
+        // A q the cache didn't precompute falls back to hashing the
+        // relation strings — still the same candidates.
         assert_eq!(
             candidate_pairs(&a, &b, 2, 10),
             candidate_pairs_cached(&a, &b, &cache, 2, 10)
         );
         // S3's path: records profiled one at a time as they are accepted.
         // At q = 3 the precomputed blocking keys are used; at q = 2 the
-        // cached lowercase strings.
+        // relation strings are hashed.
         let mut profiler = crate::IncrementalProfiler::new(a.schema(), DEFAULT_BLOCK_Q);
         let aprofs: Vec<RecordProfile> =
             a.entities().iter().map(|e| profiler.profile_entity(e)).collect();

@@ -350,8 +350,11 @@ pub fn read_relation_csv<R: BufRead>(name: &str, schema: Schema, src: R) -> Resu
             )));
         }
         let mut values = Vec::with_capacity(row.len());
-        for (field, &ctype) in row.iter().zip(&ctypes) {
-            values.push(coerce(field, ctype)?);
+        for (c, (field, &ctype)) in row.iter().zip(&ctypes).enumerate() {
+            let value = coerce(field, ctype).map_err(|msg| {
+                ErError::Csv(format!("column {:?}: {msg}", rel.schema().columns()[c].name))
+            })?;
+            values.push(value);
         }
         rel.push_entity(Entity::new(values))?;
     }
@@ -363,17 +366,27 @@ pub fn relation_from_csv(name: &str, schema: Schema, text: &str) -> Result<Relat
     read_relation_csv(name, schema, text.as_bytes())
 }
 
-fn coerce(field: &str, ctype: ColumnType) -> Result<Value> {
+/// One field as a value of its column's type, or why it is not one.
+/// Numeric fields must be finite: `str::parse::<f64>` also accepts `NaN`,
+/// `inf` and `infinity`, which no column range or similarity can hold.
+fn coerce(field: &str, ctype: ColumnType) -> std::result::Result<Value, String> {
     if field.is_empty() {
         return Ok(Value::Null);
     }
     Ok(match ctype {
-        ColumnType::Numeric => Value::Numeric(field.trim().parse::<f64>().map_err(|e| {
-            ErError::Csv(format!("bad numeric field {field:?}: {e}"))
-        })?),
-        ColumnType::Date => Value::Date(field.trim().parse::<i64>().map_err(|e| {
-            ErError::Csv(format!("bad date field {field:?}: {e}"))
-        })?),
+        ColumnType::Numeric => {
+            let x = field
+                .trim()
+                .parse::<f64>()
+                .map_err(|e| format!("bad numeric field {field:?}: {e}"))?;
+            if !x.is_finite() {
+                return Err(format!("non-finite numeric field {field:?}"));
+            }
+            Value::Numeric(x)
+        }
+        ColumnType::Date => Value::Date(
+            field.trim().parse::<i64>().map_err(|e| format!("bad date field {field:?}: {e}"))?,
+        ),
         ColumnType::Categorical => Value::Categorical(field.to_string()),
         ColumnType::Text => Value::Text(field.to_string()),
     })
@@ -502,5 +515,20 @@ mod tests {
     fn coerce_bad_number_errors() {
         let schema = Schema::new(vec![Column::numeric("y", 1.0)]);
         assert!(relation_from_csv("x", schema, "y\nnot_a_number\n").is_err());
+    }
+
+    // Regression: `str::parse::<f64>` accepts these spellings, so a NaN or
+    // infinite `year` used to reach the fit as a number.
+    #[test]
+    fn non_finite_numbers_are_rejected() {
+        for spelling in ["NaN", "nan", "inf", "-inf", "+inf", "infinity", "-Infinity"] {
+            let schema = Schema::new(vec![Column::text("t"), Column::numeric("year", 1.0)]);
+            let csv = format!("t,year\na,2001\nb, {spelling}\n");
+            let err = relation_from_csv("A", schema, &csv).unwrap_err();
+            assert!(matches!(err, ErError::Csv(_)), "{spelling}: {err:?}");
+            let msg = err.to_string();
+            assert!(msg.contains("\"year\"") && msg.contains("non-finite"), "{spelling}: {msg}");
+            assert!(msg.contains(spelling), "{spelling}: {msg}");
+        }
     }
 }

@@ -116,9 +116,10 @@ impl Column {
     }
 
     /// Profile-accelerated twin of [`Column::similarity`]: the same score,
-    /// computed through precomputed [`StringProfile`]s when both sides carry
-    /// one (falling back to the scalar kernels otherwise). Both profiles
-    /// must have been built through `interner`.
+    /// computed through precomputed [`StringProfile`]s of `a` and `b` when
+    /// both carry one that serves this column's kind (falling back to the
+    /// scalar kernels otherwise). Both profiles must have been built through
+    /// `interner`.
     pub fn similarity_profiled(
         &self,
         a: &Value,
@@ -127,27 +128,9 @@ impl Column {
         pb: Option<&StringProfile>,
         interner: &TokenInterner,
     ) -> f64 {
-        match (a, b) {
-            (Value::Null, Value::Null) => 1.0,
-            (Value::Null, _) | (_, Value::Null) => 0.0,
-            _ => match self.sim {
-                SimilarityKind::NumericMinMax => {
-                    match (a.as_f64(), b.as_f64()) {
-                        (Some(x), Some(y)) => similarity::numeric_similarity(x, y, self.range),
-                        _ => 0.0,
-                    }
-                }
-                kind => match (pa, pb) {
-                    (Some(pa), Some(pb)) => {
-                        kind.eval_profiles(pa, pb, interner).unwrap_or(0.0)
-                    }
-                    _ => match (a.as_str(), b.as_str()) {
-                        (Some(x), Some(y)) => kind.eval_str(x, y).unwrap_or(0.0),
-                        _ => 0.0,
-                    },
-                },
-            },
-        }
+        pa.zip(pb)
+            .and_then(|(pa, pb)| self.sim.eval_profiles(pa, pb, interner))
+            .unwrap_or_else(|| self.similarity(a, b))
     }
 }
 

@@ -13,9 +13,11 @@
 //! Two cache shapes cover the two access patterns:
 //!
 //! * [`ProfileCache`] — a bulk cache over both relations of a dataset, built
-//!   in parallel (`parallel::par_map`) with a serial interning pass so token
-//!   ids are deterministic at any thread count. [`crate::ErDataset`] builds
-//!   one lazily and routes similarity vectors and blocking through it.
+//!   in parallel (`parallel::par_map`). Columns whose kernel reads tokens
+//!   first get a serial interning pass, so token ids are deterministic at any
+//!   thread count; on schemas without such columns the build is one
+//!   `par_map` per relation. [`crate::ErDataset`] builds one lazily and
+//!   routes similarity vectors and blocking through it.
 //! * [`IncrementalProfiler`] — a grow-as-you-go profiler for the synthesis
 //!   loop, where records are created one candidate at a time and each
 //!   accepted record is compared against every later candidate.
@@ -43,8 +45,8 @@ impl RecordProfile {
 /// Per-column profile specs derived from the schema's configured similarity
 /// kinds ([`similarity::SimilarityKind::profile_spec`]). When `block_q` is
 /// given, the blocking column's spec additionally precomputes the sorted
-/// gram keys q-gram blocking indexes on (forcing a default spec onto the
-/// blocking column if its own similarity needs none, e.g. numeric fallback).
+/// gram keys q-gram blocking indexes on (the only field of the blocking
+/// column's spec if its own similarity needs none, e.g. numeric fallback).
 pub fn profile_specs(schema: &Schema, block_q: Option<usize>) -> Vec<Option<ProfileSpec>> {
     let mut specs: Vec<Option<ProfileSpec>> =
         schema.columns().iter().map(|c| c.sim.profile_spec()).collect();
@@ -72,6 +74,54 @@ fn profile_cols<T>(
             _ => None,
         })
         .collect()
+}
+
+/// One record's profiles, with token ids looked up in `interner`, which
+/// must already hold every token of the record's token-reading columns
+/// ([`intern_tokens`]). Reads no shared mutable state, so records can be
+/// profiled on any thread and in any order.
+fn profile_record(
+    e: &Entity,
+    specs: &[Option<ProfileSpec>],
+    interner: &TokenInterner,
+) -> RecordProfile {
+    RecordProfile {
+        cols: profile_cols(e, specs, |s, spec| {
+            RawProfile::build(s, spec).intern_readonly(interner)
+        }),
+    }
+}
+
+/// Interns the tokens of every column whose kernel reads them, serially —
+/// relation A then relation B, record order, column order — so token ids are
+/// first-seen and independent of thread count and residency budget. The
+/// string work of each fixed-size chunk fans out over the pool and is
+/// dropped after interning, so peak memory is one chunk. Schemas with no
+/// token-reading column intern nothing.
+fn intern_tokens(
+    a: &Relation,
+    b: &Relation,
+    specs: &[Option<ProfileSpec>],
+    interner: &mut TokenInterner,
+) {
+    let token_only = ProfileSpec { tokens: true, ..ProfileSpec::default() };
+    let token_specs: Vec<Option<ProfileSpec>> =
+        specs.iter().map(|s| s.filter(|s| s.tokens).map(|_| token_only)).collect();
+    if token_specs.iter().all(Option::is_none) {
+        return;
+    }
+    const CHUNK: usize = 4096;
+    for r in [a, b] {
+        let ids: Vec<usize> = (0..r.len()).collect();
+        for chunk in ids.chunks(CHUNK) {
+            let rows = parallel::par_map(chunk, |&i| {
+                profile_cols(r.entity(i), &token_specs, |s, spec| Some(RawProfile::build(s, spec)))
+            });
+            for raw in rows.into_iter().flatten().flatten() {
+                let _ = raw.intern(interner);
+            }
+        }
+    }
 }
 
 /// Similarity vector of two profiled records under `schema` — the scoring
@@ -175,9 +225,9 @@ enum Store {
 ///
 /// Under `SERD_PROFILE_BUDGET` (or [`ProfileCache::build_with_budget`]) the
 /// cache holds at most that many profiles resident, evicting LRU-first;
-/// misses rebuild through [`RawProfile::intern_readonly`] against the
-/// complete interner assembled at build time, so scores stay bit-identical
-/// to the unbounded cache (DESIGN.md §13).
+/// misses rebuild through the same read-only interning as the resident
+/// build, against the interner completed at build time, so scores stay
+/// bit-identical to the unbounded cache (DESIGN.md §13).
 #[derive(Debug)]
 pub struct ProfileCache {
     ctx: SimContext,
@@ -186,11 +236,12 @@ pub struct ProfileCache {
 }
 
 impl ProfileCache {
-    /// Profiles every record of both relations. The expensive per-string
-    /// work fans out over the worker pool; the cheap interning pass then
-    /// runs serially (A first, then B, row order) so token ids are a pure
-    /// function of the data — independent of thread count. Honors
-    /// `SERD_PROFILE_BUDGET` (default: unlimited).
+    /// Profiles every record of both relations. Columns whose kernel reads
+    /// tokens are interned first, serially ([`intern_tokens`]), so token ids
+    /// are a pure function of the data — independent of thread count; then
+    /// every record's profiles are built over the worker pool, one
+    /// `par_map` per relation. Honors `SERD_PROFILE_BUDGET` (default:
+    /// unlimited).
     pub fn build(a: &Relation, b: &Relation, block_q: usize) -> ProfileCache {
         ProfileCache::build_with_budget(a, b, block_q, env_profile_budget())
     }
@@ -208,57 +259,25 @@ impl ProfileCache {
     ) -> ProfileCache {
         let _span = obs::span("sim.profile_build");
         let specs = profile_specs(a.schema(), Some(block_q));
-        let bounded = budget.is_some_and(|bud| bud < a.len() + b.len());
-
-        let raw_chunk = |r: &Relation, ids: &[usize]| -> Vec<Vec<Option<RawProfile>>> {
-            parallel::par_map(ids, |&i| {
-                profile_cols(r.entity(i), &specs, |s, spec| Some(RawProfile::build(s, spec)))
-            })
-        };
-
         let mut ctx = SimContext::new();
-        if bounded {
-            // Bounded: intern in bounded-size chunks — same serial id
-            // sequence as the resident build, but no chunk's profiles are
-            // retained, so peak memory is one chunk, not the corpus.
-            const CHUNK: usize = 4096;
-            for r in [a, b] {
-                let mut start = 0;
-                while start < r.len() {
-                    let ids: Vec<usize> = (start..(start + CHUNK).min(r.len())).collect();
-                    for cols in raw_chunk(r, &ids) {
-                        for raw in cols.into_iter().flatten() {
-                            let _ = raw.intern(ctx.interner_mut());
-                        }
-                    }
-                    start += CHUNK;
-                }
-            }
-            let store = Store::Bounded {
-                budget: budget.expect("bounded implies budget"),
+        intern_tokens(a, b, &specs, ctx.interner_mut());
+        let store = match budget.filter(|&bud| bud < a.len() + b.len()) {
+            Some(budget) => Store::Bounded {
+                budget,
                 n_a: a.len(),
                 n_b: b.len(),
                 lru: Mutex::new(Lru::default()),
-            };
-            return ProfileCache { ctx, specs, store };
-        }
-
-        let all = |r: &Relation| raw_chunk(r, &(0..r.len()).collect::<Vec<usize>>());
-        let raw_a = all(a);
-        let raw_b = all(b);
-        let mut intern_rows = |rows: Vec<Vec<Option<RawProfile>>>| -> Vec<RecordProfile> {
-            rows.into_iter()
-                .map(|cols| RecordProfile {
-                    cols: cols
-                        .into_iter()
-                        .map(|c| c.map(|raw| raw.intern(ctx.interner_mut())))
-                        .collect(),
-                })
-                .collect()
+            },
+            None => {
+                let interner = ctx.interner();
+                let all = |r: &Relation| {
+                    let ids: Vec<usize> = (0..r.len()).collect();
+                    parallel::par_map(&ids, |&i| profile_record(r.entity(i), &specs, interner))
+                };
+                Store::Resident { a: all(a), b: all(b) }
+            }
         };
-        let a = intern_rows(raw_a);
-        let b = intern_rows(raw_b);
-        ProfileCache { ctx, specs, store: Store::Resident { a, b } }
+        ProfileCache { ctx, specs, store }
     }
 
     /// The shared token interner.
@@ -306,11 +325,7 @@ impl ProfileCache {
         }
         // Miss: rebuild outside the lock. Two threads racing on the same
         // record both produce identical profiles; last insert wins.
-        let interner = self.ctx.interner();
-        let cols = profile_cols(entity, &self.specs, |s, spec| {
-            RawProfile::build(s, spec).intern_readonly(interner)
-        });
-        let prof = Arc::new(RecordProfile { cols });
+        let prof = Arc::new(profile_record(entity, &self.specs, self.ctx.interner()));
         let mut lru = lru.lock().expect("profile LRU poisoned");
         lru.insert(key, prof.clone(), budget);
         if obs::enabled() {
@@ -392,15 +407,23 @@ impl IncrementalProfiler {
 mod tests {
     use super::*;
     use crate::{pair_similarity, Column, Value};
+    use similarity::SimilarityKind;
 
+    /// One column per similarity kind, so every lean profile spec is
+    /// exercised; `authors` and `title_tf` read tokens.
     fn schema() -> Schema {
         Schema::new(vec![
             Column::text("title"),
-            Column::text("authors").with_sim(similarity::SimilarityKind::TokenJaccard),
+            Column::text("authors").with_sim(SimilarityKind::TokenJaccard),
             Column::numeric("year", 10.0),
+            Column::text("title_edit").with_sim(SimilarityKind::EditSimilarity),
+            Column::text("authors_jw").with_sim(SimilarityKind::JaroWinkler),
+            Column::text("title_tf").with_sim(SimilarityKind::CosineTf),
         ])
     }
 
+    /// Rows of `(title, authors, year)`; the last three columns score the
+    /// title and authors again under the other kinds.
     fn rel(name: &str, rows: &[(&str, &str, f64)]) -> Relation {
         let mut r = Relation::new(name, schema());
         for &(t, a, y) in rows {
@@ -408,6 +431,9 @@ mod tests {
                 Value::Text(t.into()),
                 Value::Text(a.into()),
                 Value::Numeric(y),
+                Value::Text(t.into()),
+                Value::Text(a.into()),
+                Value::Text(t.into()),
             ])
             .unwrap();
         }
@@ -438,15 +464,16 @@ mod tests {
 
     #[test]
     fn cache_handles_nulls() {
+        let (x, t) = (|| Value::Text("x".into()), || Value::Text("t".into()));
         let mut a = Relation::new("A", schema());
-        a.push(vec![Value::Null, Value::Text("x".into()), Value::Null]).unwrap();
+        a.push(vec![Value::Null, x(), Value::Null, Value::Null, x(), Value::Null]).unwrap();
         let mut b = Relation::new("B", schema());
-        b.push(vec![Value::Text("t".into()), Value::Null, Value::Numeric(1.0)]).unwrap();
+        b.push(vec![t(), Value::Null, Value::Numeric(1.0), t(), Value::Null, t()]).unwrap();
         let cache = ProfileCache::build(&a, &b, 3);
         let fast = cache.pair_similarity(a.schema(), a.entity(0), 0, b.entity(0), 0);
         let slow = pair_similarity(a.schema(), a.entity(0), b.entity(0));
         assert_eq!(fast, slow);
-        assert_eq!(fast, vec![0.0, 0.0, 0.0]);
+        assert_eq!(fast, vec![0.0; 6]);
     }
 
     #[test]
@@ -469,6 +496,27 @@ mod tests {
         assert_eq!(specs[0].unwrap().block_q, Some(3));
         assert_eq!(specs[1].unwrap().block_q, None);
         assert!(specs[2].is_none());
+        // A numeric blocking column gets a spec that builds only the keys.
+        let numeric_first = Schema::new(vec![Column::numeric("year", 10.0)]);
+        let only_keys = ProfileSpec { block_q: Some(3), ..ProfileSpec::default() };
+        assert_eq!(profile_specs(&numeric_first, Some(3)), vec![Some(only_keys)]);
+    }
+
+    #[test]
+    fn schemas_without_token_columns_intern_nothing() {
+        let qgram_only = Schema::new(vec![Column::text("title"), Column::categorical("venue")]);
+        let rel = |name: &str, title: &str| {
+            let mut r = Relation::new(name, qgram_only.clone());
+            r.push(vec![Value::Text(title.into()), Value::Categorical("VLDB".into())]).unwrap();
+            r
+        };
+        let (a, b) = (rel("A", "adaptive query processing"), rel("B", "adaptive query evaluation"));
+        for budget in [None, Some(1)] {
+            let cache = ProfileCache::build_with_budget(&a, &b, 3, budget);
+            assert!(cache.interner().is_empty(), "budget {budget:?}");
+            let fast = cache.pair_similarity(a.schema(), a.entity(0), 0, b.entity(0), 0);
+            assert_eq!(fast, pair_similarity(a.schema(), a.entity(0), b.entity(0)));
+        }
     }
 
     #[test]
@@ -547,6 +595,15 @@ mod tests {
             })
         };
         let base = build(1);
+        // First-seen order: A then B, record order, then column order
+        // (`authors` before `title_tf`); `title` and the other string
+        // columns read no tokens and intern nothing.
+        let texts: Vec<&str> =
+            (0..base.interner().len() as u32).map(|id| base.interner().text(id)).collect();
+        assert_eq!(texts, [
+            "m", "n", "zeta", "alpha", "o", "p", "q", "beta", "gamma", "delta", "r", "epsilon",
+            "s",
+        ]);
         for threads in [2, 8] {
             let other = build(threads);
             assert_eq!(base.interner().len(), other.interner().len());

@@ -97,46 +97,46 @@ impl SimilarityKind {
 
     /// Evaluates this similarity kind on two precomputed [`StringProfile`]s
     /// built through `interner`. Returns the same score as [`Self::eval_str`]
-    /// on the profiles' raw strings (see the equivalence property tests);
-    /// [`SimilarityKind::NumericMinMax`] returns `None` as in `eval_str`.
+    /// on the profiled strings (see the equivalence property tests).
     ///
-    /// Profiles built at a different gram length than a `QgramJaccard { q }`
-    /// kind asks for fall back to the scalar kernel on the raw strings.
+    /// Returns `None` when either profile lacks what this kind's kernel
+    /// reads — built under another kind's spec, or at another gram length
+    /// than a `QgramJaccard { q }` kind asks for — and for
+    /// [`SimilarityKind::NumericMinMax`]; callers then score the strings
+    /// with [`Self::eval_str`].
     pub fn eval_profiles(
         &self,
         a: &StringProfile,
         b: &StringProfile,
         interner: &TokenInterner,
     ) -> Option<f64> {
+        let chars = a.chars().is_some() && b.chars().is_some();
+        let tokens = a.tokens().is_some() && b.tokens().is_some();
         match *self {
             SimilarityKind::QgramJaccard { q } => {
-                if a.q() == q.max(1) && b.q() == q.max(1) {
-                    Some(prof_qgram_jaccard(a, b))
-                } else {
-                    Some(qgram_jaccard(a.raw(), b.raw(), q))
-                }
+                let q = Some(q.max(1));
+                (a.q() == q && b.q() == q).then(|| prof_qgram_jaccard(a, b))
             }
-            SimilarityKind::TokenJaccard => Some(prof_token_jaccard(a, b)),
-            SimilarityKind::EditSimilarity => Some(prof_edit_similarity(a, b)),
-            SimilarityKind::JaroWinkler => Some(prof_jaro_winkler(a, b)),
-            SimilarityKind::CosineTf => Some(prof_cosine_tf(a, b, interner)),
+            SimilarityKind::TokenJaccard => tokens.then(|| prof_token_jaccard(a, b)),
+            SimilarityKind::EditSimilarity => chars.then(|| prof_edit_similarity(a, b)),
+            SimilarityKind::JaroWinkler => chars.then(|| prof_jaro_winkler(a, b)),
+            SimilarityKind::CosineTf => tokens.then(|| prof_cosine_tf(a, b, interner)),
             SimilarityKind::NumericMinMax => None,
         }
     }
 
-    /// What a per-record profile must precompute to serve this kind, or
-    /// `None` for numeric columns (no string profile needed).
+    /// What a per-record profile must precompute to serve this kind —
+    /// exactly the fields its kernel reads — or `None` for numeric columns
+    /// (no string profile needed).
     pub fn profile_spec(&self) -> Option<ProfileSpec> {
+        let none = ProfileSpec::default();
         match *self {
-            SimilarityKind::QgramJaccard { q } => {
-                Some(ProfileSpec { q, peq: false, block_q: None })
+            SimilarityKind::QgramJaccard { q } => Some(ProfileSpec { q: Some(q), ..none }),
+            SimilarityKind::EditSimilarity => Some(ProfileSpec { chars: true, peq: true, ..none }),
+            SimilarityKind::JaroWinkler => Some(ProfileSpec { chars: true, ..none }),
+            SimilarityKind::TokenJaccard | SimilarityKind::CosineTf => {
+                Some(ProfileSpec { tokens: true, ..none })
             }
-            SimilarityKind::EditSimilarity => {
-                Some(ProfileSpec { q: 3, peq: true, block_q: None })
-            }
-            SimilarityKind::TokenJaccard
-            | SimilarityKind::JaroWinkler
-            | SimilarityKind::CosineTf => Some(ProfileSpec { q: 3, peq: false, block_q: None }),
             SimilarityKind::NumericMinMax => None,
         }
     }
@@ -220,5 +220,28 @@ mod tests {
         assert_eq!(SimilarityKind::JaroWinkler.eval_str("ab", "ab"), Some(1.0));
         let cos = SimilarityKind::CosineTf.eval_str("a b", "b a").unwrap();
         assert!((cos - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn production_specs_build_only_what_their_kernel_reads() {
+        let mut ctx = SimContext::new();
+        let mut build = |kind: SimilarityKind| {
+            ctx.profile("Adaptive Query", &kind.profile_spec().expect("a string kind"))
+        };
+        let p = build(SimilarityKind::PAPER_TEXT);
+        assert_eq!(p.q(), Some(3));
+        assert!(p.chars().is_none() && p.tokens().is_none() && p.block_grams().is_none());
+        for kind in [SimilarityKind::EditSimilarity, SimilarityKind::JaroWinkler] {
+            let p = build(kind);
+            assert!(p.chars().is_some() && p.qgrams().is_none() && p.tokens().is_none());
+            assert_eq!(p.peq().is_some(), kind == SimilarityKind::EditSimilarity);
+        }
+        assert!(ctx.interner().is_empty(), "no kind above reads tokens");
+        let p = ctx.profile("Adaptive Query", &SimilarityKind::CosineTf.profile_spec().unwrap());
+        assert!(p.tf().is_some() && p.qgrams().is_none() && p.chars().is_none());
+        assert_eq!(ctx.interner().len(), 2);
+        // A profile without the kernel's field is refused, not misread.
+        assert_eq!(SimilarityKind::TokenJaccard.eval_profiles(&p, &p, ctx.interner()), Some(1.0));
+        assert_eq!(SimilarityKind::PAPER_TEXT.eval_profiles(&p, &p, ctx.interner()), None);
     }
 }

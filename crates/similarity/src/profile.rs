@@ -2,8 +2,8 @@
 //!
 //! Every similarity kernel in this crate has a scalar form (`&str` in, score
 //! out) that re-derives per-string structure — char buffers, q-gram maps,
-//! token sets — on every call. A [`StringProfile`] hoists all of that work to
-//! a single build per string, after which a pair comparison is a pure merge
+//! token sets — on every call. A [`StringProfile`] hoists that work to a
+//! single build per string, after which a pair comparison is a pure merge
 //! over preprocessed arrays:
 //!
 //! * **q-grams** become a sorted `Vec<u64>` of FNV-1a hashes; multiset
@@ -20,14 +20,21 @@
 //!   pre-sorted by token text, replicating the scalar kernels' canonical
 //!   lexicographic summation order bit-for-bit.
 //!
+//! A profile holds only what its [`ProfileSpec`] asks for — in production,
+//! exactly the fields its column's kernel reads
+//! ([`crate::SimilarityKind::profile_spec`]). A kernel called on a profile
+//! built without its field panics; [`crate::SimilarityKind::eval_profiles`]
+//! checks first and returns `None` instead.
+//!
 //! Profiles are interner-relative: ids from different [`TokenInterner`]s are
 //! unrelated, so only profiles built through the same interner (usually via
 //! one [`SimContext`]) may be compared.
 //!
 //! Building splits into two phases so corpora can be profiled in parallel
 //! while keeping interner ids deterministic: [`RawProfile::build`] does all
-//! string work and is safe to fan out (`parallel::par_map`), then the cheap
-//! [`RawProfile::intern`] runs serially and assigns first-seen token ids.
+//! string work and is safe to fan out (`parallel::par_map`), then
+//! [`RawProfile::intern`] assigns first-seen token ids and must run serially.
+//! A spec that reads no tokens leaves nothing for the second phase.
 
 use crate::intern::{TokenEntry, TokenInterner};
 use crate::myers::{myers_distance, PatternEq};
@@ -62,208 +69,212 @@ pub fn hash_gram_bytes(bytes: &[u8]) -> u64 {
     fnv1a(FNV_OFFSET, bytes)
 }
 
+/// Unsorted hashes of `s`'s sliding `q`-char windows; a string shorter than
+/// `q` chars (including the empty string) is one whole-string gram.
+fn window_hashes(s: &str, q: usize) -> Vec<u64> {
+    if s.is_ascii() {
+        let bytes = s.as_bytes();
+        if bytes.len() < q {
+            vec![hash_gram_bytes(bytes)]
+        } else {
+            bytes.windows(q).map(hash_gram_bytes).collect()
+        }
+    } else {
+        let chars: Vec<char> = s.chars().collect();
+        if chars.len() < q {
+            vec![hash_gram_chars(&chars)]
+        } else {
+            chars.windows(q).map(hash_gram_chars).collect()
+        }
+    }
+}
+
 /// Sorted, deduplicated q-gram hash keys of one *lowercased* string, as used
 /// by the q-gram blocking index. Mirrors the blocking tokenizer: a string
 /// shorter than `q` chars (including the empty string) contributes the whole
 /// string as its single key.
 pub fn block_gram_hashes(lower: &str, q: usize) -> Vec<u64> {
-    let q = q.max(1);
-    let mut out: Vec<u64>;
-    if lower.is_ascii() {
-        let bytes = lower.as_bytes();
-        if bytes.len() < q {
-            out = vec![hash_gram_bytes(bytes)];
-        } else {
-            out = bytes.windows(q).map(hash_gram_bytes).collect();
-        }
-    } else {
-        let chars: Vec<char> = lower.chars().collect();
-        if chars.len() < q {
-            out = vec![hash_gram_chars(&chars)];
-        } else {
-            out = chars.windows(q).map(hash_gram_chars).collect();
-        }
-    }
+    let mut out = window_hashes(lower, q.max(1));
     out.sort_unstable();
     out.dedup();
     out
 }
 
-/// What to precompute when building a profile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What to precompute when building a profile. Each field serves one family
+/// of kernels; [`crate::SimilarityKind::profile_spec`] asks for exactly what
+/// a column's kernel reads. `Default` builds nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProfileSpec {
-    /// Gram length for the q-gram multiset (clamped to >= 1).
-    pub q: usize,
-    /// Build the Myers bitmask table (needed by the edit-distance kernels;
-    /// skipped for columns that never compute edit distance).
+    /// Build the sorted q-gram hash multiset at this gram length (clamped to
+    /// >= 1) — the q-gram kernels.
+    pub q: Option<usize>,
+    /// Keep the char buffer — the edit-distance and Jaro kernels.
+    pub chars: bool,
+    /// Also build the Myers bitmask table over the chars (implies `chars`) —
+    /// the edit-distance kernels.
     pub peq: bool,
-    /// Also build the sorted-unique lowercase gram keys used by q-gram
-    /// blocking, at this gram length.
+    /// Intern the tokens into ids, a set and a tf vector — the token and
+    /// cosine kernels.
+    pub tokens: bool,
+    /// Build the sorted-unique lowercase gram keys q-gram blocking indexes
+    /// on, at this gram length (clamped to >= 1).
     pub block_q: Option<usize>,
 }
 
 impl ProfileSpec {
     /// Everything precomputed — the right spec for tests and benches.
     pub fn full(q: usize) -> ProfileSpec {
-        ProfileSpec { q, peq: true, block_q: Some(q) }
+        ProfileSpec { q: Some(q), chars: true, peq: true, tokens: true, block_q: Some(q) }
     }
 }
 
-impl Default for ProfileSpec {
-    fn default() -> Self {
-        ProfileSpec { q: 3, peq: false, block_q: None }
-    }
+/// The char buffer and, when asked for, its Myers table.
+#[derive(Debug, Clone)]
+struct CharProfile {
+    chars: Vec<char>,
+    peq: Option<PatternEq>,
+}
+
+/// Interned tokens: occurrence order, sorted set, and text-sorted tf.
+#[derive(Debug, Clone)]
+struct TokenProfile {
+    ids: Vec<u32>,
+    set: Vec<u32>,
+    tf: Vec<(u32, f64)>,
+}
+
+/// A lowercased string's tokens as byte ranges, awaiting interner ids.
+#[derive(Debug, Clone)]
+struct PendingTokens {
+    lower: String,
+    ranges: Vec<(usize, usize)>,
 }
 
 /// Phase-one profile: all per-string work done, tokens not yet interned.
 /// Safe to build in parallel; [`RawProfile::intern`] must run serially.
 #[derive(Debug, Clone)]
 pub struct RawProfile {
-    raw: String,
-    lower: String,
-    chars: Vec<char>,
-    ascii: bool,
-    q: usize,
-    qgrams: Vec<u64>,
-    peq: Option<PatternEq>,
-    token_ranges: Vec<(usize, usize)>,
-    block_q: Option<usize>,
-    block_grams: Option<Vec<u64>>,
+    prof: StringProfile,
+    tokens: Option<PendingTokens>,
 }
 
 impl RawProfile {
     pub fn build(s: &str, spec: &ProfileSpec) -> RawProfile {
-        let q = spec.q.max(1);
-        let raw = s.to_owned();
-        let lower = s.to_lowercase();
-        let chars: Vec<char> = s.chars().collect();
-        let ascii = s.is_ascii();
-
         // q-gram multiset, mirroring `qgram_profile`: empty string -> no
         // grams; shorter than q -> one whole-string gram; else sliding
         // windows over chars. Stored as a *sorted* hash multiset.
-        let mut qgrams: Vec<u64> = if chars.is_empty() {
-            Vec::new()
-        } else if chars.len() < q {
-            vec![if ascii { hash_gram_bytes(raw.as_bytes()) } else { hash_gram_chars(&chars) }]
-        } else if ascii {
-            raw.as_bytes().windows(q).map(hash_gram_bytes).collect()
-        } else {
-            chars.windows(q).map(hash_gram_chars).collect()
+        let qgrams = spec.q.map(|q| {
+            let q = q.max(1);
+            let mut grams = if s.is_empty() { Vec::new() } else { window_hashes(s, q) };
+            grams.sort_unstable();
+            (q, grams)
+        });
+
+        let chars = (spec.chars || spec.peq).then(|| {
+            let chars: Vec<char> = s.chars().collect();
+            let peq = if spec.peq { PatternEq::build(&chars) } else { None };
+            Box::new(CharProfile { chars, peq })
+        });
+
+        let lower = (spec.tokens || spec.block_q.is_some()).then(|| s.to_lowercase());
+        let block_grams = spec.block_q.zip(lower.as_deref()).map(|(bq, lower)| {
+            let bq = bq.max(1);
+            (bq, block_gram_hashes(lower, bq))
+        });
+
+        let tokens = if spec.tokens { lower.map(PendingTokens::split) } else { None };
+
+        RawProfile { prof: StringProfile { qgrams, chars, tokens: None, block_grams }, tokens }
+    }
+
+    /// Phase two: assign interner ids (first-seen order — keep this serial
+    /// and in a deterministic sequence for deterministic ids). A spec that
+    /// reads no tokens leaves the interner untouched.
+    pub fn intern(self, interner: &mut TokenInterner) -> StringProfile {
+        let ids = self.tokens.as_ref().map(|t| t.iter().map(|tok| interner.intern(tok)).collect());
+        self.finish(ids, interner)
+    }
+
+    /// [`Self::intern`] against a *read-only* interner: token ids come from
+    /// lookup, never assignment, so parallel builds and concurrent rebuilds
+    /// of evicted profiles can't perturb the id space. Returns `None` when
+    /// any token is unknown to the interner — building a string whose tokens
+    /// were interned beforehand always succeeds; anything else must fall
+    /// back to the scalar kernels.
+    pub fn intern_readonly(self, interner: &TokenInterner) -> Option<StringProfile> {
+        let ids = match &self.tokens {
+            Some(t) => Some(t.iter().map(|tok| interner.get(tok)).collect::<Option<_>>()?),
+            None => None,
         };
-        qgrams.sort_unstable();
+        Some(self.finish(ids, interner))
+    }
 
-        let peq = if spec.peq { PatternEq::build(&chars) } else { None };
+    fn finish(self, ids: Option<Vec<u32>>, interner: &TokenInterner) -> StringProfile {
+        let mut prof = self.prof;
+        prof.tokens = ids.map(|ids| Box::new(TokenProfile::new(ids, interner)));
+        prof
+    }
+}
 
-        // Token byte ranges into `lower` (the tokenizer's split, without the
-        // per-token String allocations).
-        let mut token_ranges = Vec::new();
+impl PendingTokens {
+    /// Splits a lowercased string into token byte ranges (the tokenizer's
+    /// split, without per-token String allocations).
+    fn split(lower: String) -> PendingTokens {
+        let mut ranges = Vec::new();
         let mut start = 0usize;
         for (i, c) in lower.char_indices() {
             if !c.is_alphanumeric() {
                 if start < i {
-                    token_ranges.push((start, i));
+                    ranges.push((start, i));
                 }
                 start = i + c.len_utf8();
             }
         }
         if start < lower.len() {
-            token_ranges.push((start, lower.len()));
+            ranges.push((start, lower.len()));
         }
-
-        let block_q = spec.block_q.map(|bq| bq.max(1));
-        let block_grams = block_q.map(|bq| block_gram_hashes(&lower, bq));
-
-        RawProfile { raw, lower, chars, ascii, q, qgrams, peq, token_ranges, block_q, block_grams }
+        PendingTokens { lower, ranges }
     }
 
-    /// Phase two: assign interner ids (first-seen order — keep this serial
-    /// and in a deterministic sequence for deterministic ids).
-    pub fn intern(self, interner: &mut TokenInterner) -> StringProfile {
-        let tokens: Vec<u32> = self
-            .token_ranges
-            .iter()
-            .map(|&(s, e)| interner.intern(&self.lower[s..e]))
-            .collect();
-        self.finish(tokens, interner)
+    /// The tokens in occurrence order.
+    fn iter(&self) -> impl Iterator<Item = &str> + '_ {
+        self.ranges.iter().map(|&(s, e)| &self.lower[s..e])
     }
+}
 
-    /// [`Self::intern`] against a *read-only* interner: token ids come from
-    /// lookup, never assignment, so concurrent rebuilds of evicted profiles
-    /// can't perturb the id space. Returns `None` when any token is unknown
-    /// to the interner — rebuilding a string that was interned at corpus
-    /// build time always succeeds; anything else must fall back to the
-    /// scalar kernels.
-    pub fn intern_readonly(self, interner: &TokenInterner) -> Option<StringProfile> {
-        let mut tokens = Vec::with_capacity(self.token_ranges.len());
-        for &(s, e) in &self.token_ranges {
-            tokens.push(interner.get(&self.lower[s..e])?);
-        }
-        Some(self.finish(tokens, interner))
-    }
-
-    fn finish(self, tokens: Vec<u32>, interner: &TokenInterner) -> StringProfile {
-        let RawProfile {
-            raw,
-            lower,
-            chars,
-            ascii,
-            q,
-            qgrams,
-            peq,
-            token_ranges: _,
-            block_q,
-            block_grams,
-        } = self;
-
-        let mut token_set = tokens.clone();
-        token_set.sort_unstable();
-        token_set.dedup();
+impl TokenProfile {
+    fn new(ids: Vec<u32>, interner: &TokenInterner) -> TokenProfile {
+        let mut set = ids.clone();
+        set.sort_unstable();
+        set.dedup();
 
         // Term frequencies sorted by token *text* — the canonical order the
         // scalar cosine kernels sum in.
-        let mut tf: Vec<(u32, f64)> = Vec::with_capacity(token_set.len());
-        for &id in &tokens {
+        let mut tf: Vec<(u32, f64)> = Vec::with_capacity(set.len());
+        for &id in &ids {
             match tf.iter_mut().find(|(t, _)| *t == id) {
                 Some((_, c)) => *c += 1.0,
                 None => tf.push((id, 1.0)),
             }
         }
         tf.sort_unstable_by(|&(x, _), &(y, _)| interner.text(x).cmp(interner.text(y)));
-
-        StringProfile {
-            raw,
-            lower,
-            chars,
-            ascii,
-            q,
-            qgrams,
-            peq,
-            tokens,
-            token_set,
-            tf,
-            block_q,
-            block_grams,
-        }
+        TokenProfile { ids, set, tf }
     }
 }
 
-/// A fully preprocessed string: everything any pair kernel needs, so that
-/// comparing two profiles allocates nothing.
+/// A preprocessed string: the fields its [`ProfileSpec`] asked for, so that
+/// comparing two profiles allocates nothing. Each field is `None` when the
+/// spec did not ask for it.
 #[derive(Debug, Clone)]
 pub struct StringProfile {
-    raw: String,
-    lower: String,
-    chars: Vec<char>,
-    ascii: bool,
-    q: usize,
-    qgrams: Vec<u64>,
-    peq: Option<PatternEq>,
-    tokens: Vec<u32>,
-    token_set: Vec<u32>,
-    tf: Vec<(u32, f64)>,
-    block_q: Option<usize>,
-    block_grams: Option<Vec<u64>>,
+    /// Gram length and sorted q-gram hash multiset.
+    qgrams: Option<(usize, Vec<u64>)>,
+    // Boxed: most columns read neither part, and inline they would more
+    // than double the size of every profile a cache holds.
+    chars: Option<Box<CharProfile>>,
+    tokens: Option<Box<TokenProfile>>,
+    /// Gram length and sorted-unique lowercase blocking keys.
+    block_grams: Option<(usize, Vec<u64>)>,
 }
 
 impl StringProfile {
@@ -273,70 +284,66 @@ impl StringProfile {
         RawProfile::build(s, spec).intern(interner)
     }
 
-    /// The original string.
-    pub fn raw(&self) -> &str {
-        &self.raw
-    }
-
-    /// The lowercased string (computed once at build time).
-    pub fn lower(&self) -> &str {
-        &self.lower
-    }
-
-    /// Cached characters of the original string.
-    pub fn chars(&self) -> &[char] {
-        &self.chars
-    }
-
-    /// Whether the original string is pure ASCII.
-    pub fn is_ascii(&self) -> bool {
-        self.ascii
-    }
-
     /// The gram length the q-gram multiset was built with.
-    pub fn q(&self) -> usize {
-        self.q
+    pub fn q(&self) -> Option<usize> {
+        self.qgrams.as_ref().map(|(q, _)| *q)
     }
 
     /// Sorted q-gram hash multiset (`len()` is the multiset total).
-    pub fn qgrams(&self) -> &[u64] {
-        &self.qgrams
+    pub fn qgrams(&self) -> Option<&[u64]> {
+        self.qgrams.as_ref().map(|(_, g)| &g[..])
     }
 
-    /// Token ids in occurrence order (duplicates kept).
-    pub fn tokens(&self) -> &[u32] {
-        &self.tokens
-    }
-
-    /// Sorted, deduplicated token ids.
-    pub fn token_set(&self) -> &[u32] {
-        &self.token_set
-    }
-
-    /// Term frequencies, sorted lexicographically by token text.
-    pub fn tf(&self) -> &[(u32, f64)] {
-        &self.tf
+    /// Characters of the original string.
+    pub fn chars(&self) -> Option<&[char]> {
+        self.chars.as_deref().map(|c| &c.chars[..])
     }
 
     /// Myers bitmask table (`None` when not requested or >64 chars).
     pub fn peq(&self) -> Option<&PatternEq> {
-        self.peq.as_ref()
+        self.chars.as_deref().and_then(|c| c.peq.as_ref())
+    }
+
+    /// Token ids in occurrence order (duplicates kept).
+    pub fn tokens(&self) -> Option<&[u32]> {
+        self.tokens.as_deref().map(|t| &t.ids[..])
+    }
+
+    /// Sorted, deduplicated token ids.
+    pub fn token_set(&self) -> Option<&[u32]> {
+        self.tokens.as_deref().map(|t| &t.set[..])
+    }
+
+    /// Term frequencies, sorted lexicographically by token text.
+    pub fn tf(&self) -> Option<&[(u32, f64)]> {
+        self.tokens.as_deref().map(|t| &t.tf[..])
     }
 
     /// Sorted-unique lowercase blocking gram keys, if requested at build.
     pub fn block_grams(&self) -> Option<&[u64]> {
-        self.block_grams.as_deref()
+        self.block_grams.as_ref().map(|(_, g)| &g[..])
     }
 
     /// Blocking gram keys *only if* they were built at gram length `q`
-    /// (clamped to >= 1); callers that need a different `q` must recompute
-    /// from [`Self::lower`].
+    /// (clamped to >= 1); callers that need a different `q` must hash the
+    /// string themselves.
     pub fn block_grams_at(&self, q: usize) -> Option<&[u64]> {
-        if self.block_q == Some(q.max(1)) {
-            self.block_grams.as_deref()
-        } else {
-            None
+        match &self.block_grams {
+            Some((bq, grams)) if *bq == q.max(1) => Some(grams),
+            _ => None,
         }
+    }
+
+    fn gram_part(&self) -> &[u64] {
+        self.qgrams().expect("q-gram kernel on a profile built without q-grams")
+    }
+
+    fn char_part(&self) -> &CharProfile {
+        self.chars.as_deref().expect("char kernel on a profile built without chars")
+    }
+
+    fn token_part(&self) -> &TokenProfile {
+        self.tokens.as_deref().expect("token kernel on a profile built without tokens")
     }
 }
 
@@ -404,11 +411,12 @@ fn sorted_set_intersection(a: &[u32], b: &[u32]) -> usize {
 /// Profile-based q-gram Jaccard — merge-based twin of [`crate::qgram_jaccard`]
 /// at the profiles' build-time `q`.
 pub fn prof_qgram_jaccard(a: &StringProfile, b: &StringProfile) -> f64 {
-    let (ta, tb) = (a.qgrams.len(), b.qgrams.len());
+    let (ga, gb) = (a.gram_part(), b.gram_part());
+    let (ta, tb) = (ga.len(), gb.len());
     if ta == 0 && tb == 0 {
         return 1.0;
     }
-    let inter = multiset_intersection(&a.qgrams, &b.qgrams) as f64;
+    let inter = multiset_intersection(ga, gb) as f64;
     let union = (ta + tb) as f64 - inter;
     if union == 0.0 {
         1.0
@@ -419,7 +427,8 @@ pub fn prof_qgram_jaccard(a: &StringProfile, b: &StringProfile) -> f64 {
 
 /// Profile-based q-gram overlap coefficient — twin of [`crate::qgram_overlap`].
 pub fn prof_qgram_overlap(a: &StringProfile, b: &StringProfile) -> f64 {
-    let (ta, tb) = (a.qgrams.len(), b.qgrams.len());
+    let (ga, gb) = (a.gram_part(), b.gram_part());
+    let (ta, tb) = (ga.len(), gb.len());
     if ta == 0 && tb == 0 {
         return 1.0;
     }
@@ -427,12 +436,13 @@ pub fn prof_qgram_overlap(a: &StringProfile, b: &StringProfile) -> f64 {
     if denom == 0 {
         return 0.0;
     }
-    multiset_intersection(&a.qgrams, &b.qgrams) as f64 / denom as f64
+    multiset_intersection(ga, gb) as f64 / denom as f64
 }
 
 /// Profile-based q-gram Dice coefficient — twin of [`crate::qgram_dice`].
 pub fn prof_qgram_dice(a: &StringProfile, b: &StringProfile) -> f64 {
-    let (ta, tb) = (a.qgrams.len(), b.qgrams.len());
+    let (ga, gb) = (a.gram_part(), b.gram_part());
+    let (ta, tb) = (ga.len(), gb.len());
     if ta == 0 && tb == 0 {
         return 1.0;
     }
@@ -440,13 +450,14 @@ pub fn prof_qgram_dice(a: &StringProfile, b: &StringProfile) -> f64 {
     if denom == 0.0 {
         return 0.0;
     }
-    2.0 * multiset_intersection(&a.qgrams, &b.qgrams) as f64 / denom
+    2.0 * multiset_intersection(ga, gb) as f64 / denom
 }
 
 /// Profile-based Levenshtein distance: Myers bit-parallel when either side
-/// carries a `PatternEq` (<= 64 chars), classic DP otherwise — byte-DP when
-/// both sides are ASCII. Always the exact distance.
+/// carries a `PatternEq` (<= 64 chars), the classic DP over chars otherwise.
+/// Always the exact distance.
 pub fn prof_levenshtein(a: &StringProfile, b: &StringProfile) -> usize {
+    let (a, b) = (a.char_part(), b.char_part());
     if a.chars.is_empty() {
         return b.chars.len();
     }
@@ -459,17 +470,13 @@ pub fn prof_levenshtein(a: &StringProfile, b: &StringProfile) -> usize {
     if let Some(peq) = &b.peq {
         return myers_distance(peq, &a.chars);
     }
-    if a.ascii && b.ascii {
-        crate::edit::levenshtein_slices(a.raw.as_bytes(), b.raw.as_bytes())
-    } else {
-        crate::edit::levenshtein_slices(&a.chars, &b.chars)
-    }
+    crate::edit::levenshtein_slices(&a.chars, &b.chars)
 }
 
 /// Profile-based normalized edit similarity — twin of
 /// [`crate::edit_similarity`].
 pub fn prof_edit_similarity(a: &StringProfile, b: &StringProfile) -> f64 {
-    let m = a.chars.len().max(b.chars.len());
+    let m = a.char_part().chars.len().max(b.char_part().chars.len());
     if m == 0 {
         return 1.0;
     }
@@ -479,22 +486,23 @@ pub fn prof_edit_similarity(a: &StringProfile, b: &StringProfile) -> f64 {
 /// Profile-based Jaro similarity — twin of [`crate::jaro`], computed over the
 /// cached char buffers with thread-local scratch (no per-pair allocation).
 pub fn prof_jaro(a: &StringProfile, b: &StringProfile) -> f64 {
-    crate::jaro::jaro_slices(&a.chars, &b.chars)
+    crate::jaro::jaro_slices(&a.char_part().chars, &b.char_part().chars)
 }
 
 /// Profile-based Jaro–Winkler similarity — twin of [`crate::jaro_winkler`].
 pub fn prof_jaro_winkler(a: &StringProfile, b: &StringProfile) -> f64 {
-    crate::jaro::jaro_winkler_slices(&a.chars, &b.chars)
+    crate::jaro::jaro_winkler_slices(&a.char_part().chars, &b.char_part().chars)
 }
 
 /// Profile-based token Jaccard — twin of [`crate::token_jaccard`], exact
 /// (interned ids are bijective with token strings).
 pub fn prof_token_jaccard(a: &StringProfile, b: &StringProfile) -> f64 {
-    if a.token_set.is_empty() && b.token_set.is_empty() {
+    let (sa, sb) = (&a.token_part().set, &b.token_part().set);
+    if sa.is_empty() && sb.is_empty() {
         return 1.0;
     }
-    let inter = sorted_set_intersection(&a.token_set, &b.token_set) as f64;
-    let union = (a.token_set.len() + b.token_set.len()) as f64 - inter;
+    let inter = sorted_set_intersection(sa, sb) as f64;
+    let union = (sa.len() + sb.len()) as f64 - inter;
     if union == 0.0 {
         1.0
     } else {
@@ -504,14 +512,15 @@ pub fn prof_token_jaccard(a: &StringProfile, b: &StringProfile) -> f64 {
 
 /// Profile-based token Dice — twin of [`crate::token_dice`].
 pub fn prof_token_dice(a: &StringProfile, b: &StringProfile) -> f64 {
-    if a.token_set.is_empty() && b.token_set.is_empty() {
+    let (sa, sb) = (&a.token_part().set, &b.token_part().set);
+    if sa.is_empty() && sb.is_empty() {
         return 1.0;
     }
-    let denom = (a.token_set.len() + b.token_set.len()) as f64;
+    let denom = (sa.len() + sb.len()) as f64;
     if denom == 0.0 {
         return 0.0;
     }
-    2.0 * sorted_set_intersection(&a.token_set, &b.token_set) as f64 / denom
+    2.0 * sorted_set_intersection(sa, sb) as f64 / denom
 }
 
 #[inline]
@@ -540,10 +549,11 @@ fn token_edit_similarity(interner: &TokenInterner, x: u32, y: u32) -> f64 {
 /// inner edit similarity goes through the per-token Myers tables cached on
 /// the interner.
 pub fn prof_monge_elkan(a: &StringProfile, b: &StringProfile, interner: &TokenInterner) -> f64 {
-    if a.tokens.is_empty() && b.tokens.is_empty() {
+    let (ta, tb) = (&a.token_part().ids, &b.token_part().ids);
+    if ta.is_empty() && tb.is_empty() {
         return 1.0;
     }
-    if a.tokens.is_empty() || b.tokens.is_empty() {
+    if ta.is_empty() || tb.is_empty() {
         return 0.0;
     }
     let dir = |xs: &[u32], ys: &[u32]| -> f64 {
@@ -556,7 +566,7 @@ pub fn prof_monge_elkan(a: &StringProfile, b: &StringProfile, interner: &TokenIn
             .sum::<f64>()
             / xs.len() as f64
     };
-    0.5 * (dir(&a.tokens, &b.tokens) + dir(&b.tokens, &a.tokens))
+    0.5 * (dir(ta, tb) + dir(tb, ta))
 }
 
 /// Merges two tf entry lists (sorted by token text) accumulating the dot
@@ -596,12 +606,13 @@ fn tf_dot(
 /// and norms are accumulated in the same lexicographic token order as the
 /// scalar kernel, so results agree bit-for-bit.
 pub fn prof_cosine_tf(a: &StringProfile, b: &StringProfile, interner: &TokenInterner) -> f64 {
-    if a.tf.is_empty() && b.tf.is_empty() {
+    let (fa, fb) = (&a.token_part().tf, &b.token_part().tf);
+    if fa.is_empty() && fb.is_empty() {
         return 1.0;
     }
-    let dot = tf_dot(&a.tf, &b.tf, interner, |_, c| c, |_, c| c);
-    let na = a.tf.iter().map(|&(_, c)| c * c).sum::<f64>().sqrt();
-    let nb = b.tf.iter().map(|&(_, c)| c * c).sum::<f64>().sqrt();
+    let dot = tf_dot(fa, fb, interner, |_, c| c, |_, c| c);
+    let na = fa.iter().map(|&(_, c)| c * c).sum::<f64>().sqrt();
+    let nb = fb.iter().map(|&(_, c)| c * c).sum::<f64>().sqrt();
     if na == 0.0 || nb == 0.0 {
         return 0.0;
     }
@@ -648,28 +659,21 @@ pub fn prof_cosine_tfidf(
     interner: &TokenInterner,
     idf: &InternedIdf,
 ) -> f64 {
-    if a.tf.is_empty() && b.tf.is_empty() {
+    let (fa, fb) = (&a.token_part().tf, &b.token_part().tf);
+    if fa.is_empty() && fb.is_empty() {
         return 1.0;
     }
-    let dot = tf_dot(&a.tf, &b.tf, interner, |id, c| c * idf.idf(id), |id, c| c * idf.idf(id));
-    let na = a
-        .tf
-        .iter()
-        .map(|&(id, c)| {
-            let w = c * idf.idf(id);
-            w * w
-        })
-        .sum::<f64>()
-        .sqrt();
-    let nb = b
-        .tf
-        .iter()
-        .map(|&(id, c)| {
-            let w = c * idf.idf(id);
-            w * w
-        })
-        .sum::<f64>()
-        .sqrt();
+    let dot = tf_dot(fa, fb, interner, |id, c| c * idf.idf(id), |id, c| c * idf.idf(id));
+    let norm = |tf: &[(u32, f64)]| {
+        tf.iter()
+            .map(|&(id, c)| {
+                let w = c * idf.idf(id);
+                w * w
+            })
+            .sum::<f64>()
+            .sqrt()
+    };
+    let (na, nb) = (norm(fa), norm(fb));
     if na == 0.0 || nb == 0.0 {
         return 0.0;
     }
@@ -729,7 +733,7 @@ mod tests {
         let corpus = ["the quick fox", "the lazy dog", "the hungry wolf", "quick brown fox"];
         let tfidf = TfIdf::fit(corpus);
         let mut ctx = SimContext::new();
-        let spec = ProfileSpec::default();
+        let spec = ProfileSpec { tokens: true, ..ProfileSpec::default() };
         // Contract: profile the corpus through the interner, then fit.
         let profs: Vec<StringProfile> = corpus.iter().map(|s| ctx.profile(s, &spec)).collect();
         let idf = InternedIdf::fit_from(&tfidf, ctx.interner_mut());
@@ -755,7 +759,7 @@ mod tests {
             let lower = s.to_lowercase();
             let direct = block_gram_hashes(&lower, 3);
             let mut ctx = SimContext::new();
-            let prof = ctx.profile(s, &ProfileSpec { q: 3, peq: false, block_q: Some(3) });
+            let prof = ctx.profile(s, &ProfileSpec { block_q: Some(3), ..ProfileSpec::default() });
             assert_eq!(prof.block_grams(), Some(&direct[..]), "{s:?}");
         }
     }
@@ -795,10 +799,12 @@ mod tests {
     #[test]
     fn tf_entries_are_text_sorted() {
         let mut ctx = SimContext::new();
-        let p = ctx.profile("zeta alpha zeta Beta", &ProfileSpec::default());
-        let texts: Vec<&str> = p.tf().iter().map(|&(id, _)| ctx.interner().text(id)).collect();
+        let spec = ProfileSpec { tokens: true, ..ProfileSpec::default() };
+        let p = ctx.profile("zeta alpha zeta Beta", &spec);
+        let tf = p.tf().expect("the spec asked for tokens");
+        let texts: Vec<&str> = tf.iter().map(|&(id, _)| ctx.interner().text(id)).collect();
         assert_eq!(texts, vec!["alpha", "beta", "zeta"]);
-        let counts: Vec<f64> = p.tf().iter().map(|&(_, c)| c).collect();
+        let counts: Vec<f64> = tf.iter().map(|&(_, c)| c).collect();
         assert_eq!(counts, vec![1.0, 1.0, 2.0]);
     }
 }

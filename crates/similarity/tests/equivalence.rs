@@ -101,7 +101,7 @@ proptest! {
     ) {
         let tfidf = TfIdf::fit(docs.iter().map(String::as_str));
         let mut ctx = SimContext::new();
-        let spec = ProfileSpec::default();
+        let spec = ProfileSpec { tokens: true, ..ProfileSpec::default() };
         let pa = ctx.profile(&a, &spec);
         let pb = ctx.profile(&b, &spec);
         let idf = InternedIdf::fit_from(&tfidf, ctx.interner_mut());
@@ -113,19 +113,34 @@ proptest! {
 
     #[test]
     fn dispatch_agrees_with_eval_str(a in wild_string(), b in wild_string()) {
-        let (pa, pb, ctx) = profiles(&a, &b, 3);
         for kind in [
             SimilarityKind::QgramJaccard { q: 3 },
-            SimilarityKind::QgramJaccard { q: 5 }, // profile q mismatch -> scalar fallback
+            SimilarityKind::QgramJaccard { q: 1 },
             SimilarityKind::TokenJaccard,
             SimilarityKind::EditSimilarity,
             SimilarityKind::JaroWinkler,
             SimilarityKind::CosineTf,
         ] {
-            let fast = kind.eval_profiles(&pa, &pb, ctx.interner()).map(f64::to_bits);
-            let slow = kind.eval_str(&a, &b).map(f64::to_bits);
-            prop_assert_eq!(fast, slow, "{:?} a={:?} b={:?}", kind, &a, &b);
+            // Full profiles, and the kind's own production spec with and
+            // without the blocking keys `profile_specs` adds to the
+            // blocking column: a production spec that misses a field its
+            // kernel reads fails here.
+            let own = kind.profile_spec().expect("a string kind");
+            let full = ProfileSpec::full(own.q.unwrap_or(3));
+            for spec in [full, own, ProfileSpec { block_q: Some(3), ..own }] {
+                let mut ctx = SimContext::new();
+                let pa = ctx.profile(&a, &spec);
+                let pb = ctx.profile(&b, &spec);
+                let fast = kind.eval_profiles(&pa, &pb, ctx.interner()).map(f64::to_bits);
+                let slow = kind.eval_str(&a, &b).map(f64::to_bits);
+                prop_assert_eq!(fast, slow, "{:?} {:?} a={:?} b={:?}", kind, spec, &a, &b);
+            }
         }
+        // Profiles built at another gram length are refused, so callers
+        // score the strings instead.
+        let (pa, pb, ctx) = profiles(&a, &b, 3);
+        let other_q = SimilarityKind::QgramJaccard { q: 5 };
+        prop_assert_eq!(other_q.eval_profiles(&pa, &pb, ctx.interner()), None);
     }
 
     #[test]
@@ -150,7 +165,7 @@ proptest! {
         prop_assert_eq!(one.qgrams(), two.qgrams());
         prop_assert_eq!(one.tokens(), two.tokens());
         prop_assert_eq!(one.token_set(), two.token_set());
-        prop_assert_eq!(one.lower(), two.lower());
+        prop_assert_eq!(one.chars(), two.chars());
         prop_assert_eq!(one.block_grams(), two.block_grams());
     }
 }
