@@ -640,6 +640,28 @@ mod tests {
         }
     }
 
+    // Regression: DBLP-ACM and Restaurant both have four columns, and a
+    // header check on field count alone ingested one as the other (title as
+    // name, venue as the categorical city, year as flavor).
+    #[test]
+    fn ingest_refuses_another_datasets_export() {
+        let spec = ScaleSpec::for_entities(DatasetKind::DblpAcm, 100);
+        let dir = std::env::temp_dir().join(format!("serd_scale_kind_{}", std::process::id()));
+        export_dir(&spec, 3, &dir).unwrap();
+        let err = match ingest_dir(DatasetKind::Restaurant, &dir) {
+            Ok(_) => panic!("a DBLP-ACM export ingested as Restaurant"),
+            Err(e) => e,
+        };
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("A.csv") && msg.contains("\"title\"") && msg.contains("\"name\""),
+            "{msg}"
+        );
+        assert!(ingest_dir(DatasetKind::DblpAcm, &dir).is_ok());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn background_stays_disjoint_from_streamed_rows() {
         let spec = ScaleSpec::for_entities(DatasetKind::DblpAcm, 300);

@@ -322,7 +322,7 @@ pub fn relation_to_csv(r: &Relation) -> String {
 
 /// Streams CSV (header row required) from `src` into a relation under
 /// `schema`, one record at a time — the ingest path for files too large to
-/// hold as a single string.
+/// hold as a single string. Header field *i* must be column *i*'s name.
 ///
 /// Fields are coerced per column type; empty fields become [`Value::Null`].
 pub fn read_relation_csv<R: BufRead>(name: &str, schema: Schema, src: R) -> Result<Relation> {
@@ -337,6 +337,17 @@ pub fn read_relation_csv<R: BufRead>(name: &str, schema: Schema, src: R) -> Resu
             header.len(),
             rel.schema().len()
         )));
+    }
+    // Same-width schemas exist (DBLP-ACM and Restaurant both have four
+    // columns), so the names must match too, or a file is silently read
+    // under another dataset's column types.
+    for (i, (found, col)) in header.iter().zip(rel.schema().columns()).enumerate() {
+        if *found != col.name {
+            return Err(ErError::Csv(format!(
+                "header field {i} is {found:?}, schema expects {:?}",
+                col.name
+            )));
+        }
     }
     // Hoisted once: coercion only needs the column types, not a fresh clone
     // of every `Column` per row.
@@ -509,6 +520,25 @@ mod tests {
     fn relation_from_csv_rejects_ragged_rows() {
         let schema = Schema::new(vec![Column::text("t"), Column::numeric("y", 1.0)]);
         assert!(relation_from_csv("x", schema, "t,y\nonly_one_field\n").is_err());
+    }
+
+    #[test]
+    fn header_names_must_match_the_schema() {
+        let schema = Schema::new(vec![Column::text("name"), Column::categorical("city")]);
+        let err = relation_from_csv("x", schema.clone(), "title,city\na,b\n").unwrap_err();
+        assert!(matches!(err, ErError::Csv(_)), "{err:?}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("field 0") && msg.contains("\"title\"") && msg.contains("\"name\""),
+            "{msg}"
+        );
+        // Position matters: the right names in the wrong order are refused.
+        let err = relation_from_csv("x", schema.clone(), "city,name\n").unwrap_err();
+        assert!(err.to_string().contains("field 0"), "{err}");
+        // Names compare exactly: no case folding or trimming.
+        assert!(relation_from_csv("x", schema.clone(), "name,City\n").is_err());
+        assert!(relation_from_csv("x", schema.clone(), "name, city\n").is_err());
+        assert_eq!(relation_from_csv("x", schema, "name,city\na,b\n").unwrap().len(), 1);
     }
 
     #[test]

@@ -59,7 +59,10 @@ fn json_run_report_covers_every_stage_and_recording_is_inert() {
                  "\"gmm.fit_auto\"", "\"transformer.train\"", "\"s3.label\"",
                  // S2 sub-stages, nested under `synthesize`.
                  "\"s2.decode\"", "\"s2.plausibility\"", "\"s2.profile\"",
-                 "\"s2.delta_vectors\"", "\"s2.would_reject\"", "\"s2.commit\""] {
+                 "\"s2.delta_vectors\"", "\"s2.would_reject\"", "\"s2.commit\"",
+                 // Text synthesis inside `s2.decode`: model candidates and
+                 // guided repair.
+                 "\"text.generate\"", "\"text.repair\""] {
         assert!(report.contains(span), "missing span {span} in report:\n{report}");
     }
 
@@ -78,6 +81,9 @@ fn json_run_report_covers_every_stage_and_recording_is_inert() {
         "pool.jobs_executed",   // parallel pool stats
         "pool.utilization",
         "epsilon",              // total privacy budget
+        "text.candidates",      // decoded text candidates
+        "text.gate_rejected",   // candidates the plausibility gate discarded
+        "text.repairs",         // text values produced by guided repair
     ] {
         assert!(report.contains(metric), "missing metric {metric} in report:\n{report}");
     }

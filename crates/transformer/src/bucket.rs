@@ -2,7 +2,9 @@
 //! candidate-reranking inference (paper Section VI, Algorithm 1, Figure 4).
 
 use crate::decode::EncodedSource;
-use crate::guided::{perturb_toward, TokenPool};
+use crate::guided::{
+    gram_keys, jaccard_keys, perturb_toward, perturb_toward_keys, GramScratch, TokenPool,
+};
 use crate::model::{Seq2SeqTransformer, TransformerConfig};
 use crate::vocab::CharVocab;
 use neural::layers::Module;
@@ -10,7 +12,6 @@ use neural::optim::DpSgd;
 use persist::{Persist, Reader, Writer};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use similarity::qgram_jaccard;
 
 /// Configuration for training the bucketed synthesizer.
 #[derive(Debug, Clone)]
@@ -155,8 +156,9 @@ impl BucketedSynthesizer {
 
     /// Precomputes everything about `(s, sim)` that candidate sampling
     /// reuses: bucket-model selection, source encoding, encoder memory
-    /// (including per-layer cross-attention projections), and the source
-    /// token set for the plausibility gate.
+    /// (including per-layer cross-attention projections), the source token
+    /// set for the plausibility gate, and the source's sorted 3-gram keys
+    /// that candidate scoring and every retry's repair merge against.
     pub fn prepare<'a>(&'a self, s: &str, sim: f64) -> PreparedSynthesis<'a> {
         let target = sim.clamp(0.0, 1.0);
         let exact = target >= 0.999;
@@ -172,7 +174,8 @@ impl BucketedSynthesizer {
                 }
             })
         };
-        PreparedSynthesis { syn: self, source: s.to_string(), target, exact, model }
+        let source_keys = if exact { Vec::new() } else { gram_keys(s) };
+        PreparedSynthesis { syn: self, source: s.to_string(), source_keys, target, exact, model }
     }
 }
 
@@ -190,6 +193,8 @@ struct PreparedModel<'a> {
 pub struct PreparedSynthesis<'a> {
     syn: &'a BucketedSynthesizer,
     source: String,
+    /// Sorted 3-gram keys of `source` (empty for an exact copy).
+    source_keys: Vec<u64>,
     target: f64,
     exact: bool,
     model: Option<PreparedModel<'a>>,
@@ -204,18 +209,17 @@ impl PreparedSynthesis<'_> {
             return self.source.clone();
         }
         let syn = self.syn;
-        let s = &self.source;
         let sim = self.target;
+        let mut scratch = GramScratch::default();
         let mut best: Option<(String, f64)> = None;
         if let Some(pm) = &self.model {
+            let _span = obs::span("text.generate");
             let candidates =
                 pm.model
                     .generate_batch(&pm.enc, syn.cfg.candidates, syn.cfg.max_out, syn.cfg.temperature, rng);
+            let mut gate_rejected = 0u64;
             for ids in &candidates {
                 let out = syn.vocab.decode(ids);
-                if out.is_empty() {
-                    continue;
-                }
                 // A candidate must look like domain text: most of its tokens
                 // come from the background pool or the source string. A
                 // small CPU-trained model can hit the target similarity with
@@ -230,9 +234,10 @@ impl PreparedSynthesis<'_> {
                         / tokens.len() as f64
                         >= 0.8;
                 if !plausible {
+                    gate_rejected += 1;
                     continue;
                 }
-                let achieved = qgram_jaccard(s, &out, 3);
+                let achieved = jaccard_keys(&self.source_keys, scratch.load(&out));
                 if best
                     .as_ref()
                     .map_or(true, |(_, b)| (achieved - sim).abs() < (b - sim).abs())
@@ -240,11 +245,23 @@ impl PreparedSynthesis<'_> {
                     best = Some((out, achieved));
                 }
             }
+            obs::counter("text.candidates", candidates.len() as u64);
+            obs::counter("text.gate_rejected", gate_rejected);
         }
         match best {
             Some((out, achieved)) if (achieved - sim).abs() <= syn.cfg.repair_tol => out,
             _ => {
-                let (out, _) = perturb_toward(s, sim, &syn.pool, 0.03, 300, rng);
+                let _span = obs::span("text.repair");
+                obs::counter("text.repairs", 1);
+                let (out, _) = perturb_toward_keys(
+                    &self.source,
+                    &self.source_keys,
+                    sim,
+                    &syn.pool,
+                    0.03,
+                    300,
+                    rng,
+                );
                 out
             }
         }
@@ -366,6 +383,7 @@ fn build_training_pairs<R: Rng + ?Sized>(
     let mut buckets: Vec<Vec<(String, String)>> = vec![Vec::new(); cfg.buckets];
     // Natural pairs (sampled, not exhaustive: the corpus can be large).
     let n = background.len();
+    let (mut keys_a, mut keys_b) = (GramScratch::default(), GramScratch::default());
     let budget = (cfg.max_pairs_per_bucket * cfg.buckets * 4).min(n.saturating_mul(n));
     for _ in 0..budget {
         let i = rng.gen_range(0..n);
@@ -374,7 +392,7 @@ fn build_training_pairs<R: Rng + ?Sized>(
             continue;
         }
         let (a, b) = (&background[i], &background[j]);
-        let sim = qgram_jaccard(a, b, 3);
+        let sim = jaccard_keys(keys_a.load(a), keys_b.load(b));
         let idx = bucket_index(sim, cfg.buckets);
         if buckets[idx].len() < cfg.max_pairs_per_bucket {
             buckets[idx].push((a.clone(), b.clone()));
@@ -456,6 +474,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use similarity::qgram_jaccard;
 
     fn corpus() -> Vec<String> {
         [

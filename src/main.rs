@@ -221,6 +221,9 @@ fn cmd_fit(opts: &FitOpts) -> Result<(), ApiError> {
         model.epsilon
     );
     println!("wrote {}", path.display());
+    if serd_repro::obs::enabled() {
+        eprintln!("{}", SerdSynthesizer::from_model(model).run_report());
+    }
     Ok(())
 }
 

@@ -130,6 +130,67 @@ fn fit_then_synthesize_model_matches_direct_run() {
 }
 
 #[test]
+fn fit_prints_the_run_report_under_serd_obs() {
+    let base = std::env::temp_dir().join(format!("serd_cli_fit_obs_{}", std::process::id()));
+    std::fs::create_dir_all(&base).unwrap();
+    let fit = |obs: &str, name: &str| {
+        bin()
+            .env("SERD_OBS", obs)
+            .args(["fit", "--dataset", "restaurant", "--scale", "0.02", "--min-matches", "4"])
+            .args(["--seed", "11", "--out", base.join(name).to_str().unwrap()])
+            .output()
+            .expect("run fit")
+    };
+    let out = fit("json", "obs.serd");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let report = String::from_utf8_lossy(&out.stderr);
+    let report = report.trim();
+    assert!(report.starts_with('{') && report.ends_with('}'), "{report}");
+    let keys =
+        ["\"fit\"", "\"blocking\"", "\"gmm.fit_auto\"", "\"transformer.train\"", "dpsgd.epsilon"];
+    for key in keys {
+        assert!(report.contains(key), "fit report lacks {key}:\n{report}");
+    }
+    // Recording is inert: the artifact matches an unobserved fit's, and
+    // with SERD_OBS off nothing is reported.
+    let quiet = fit("off", "quiet.serd");
+    assert!(quiet.status.success(), "{}", String::from_utf8_lossy(&quiet.stderr));
+    assert!(quiet.stderr.is_empty(), "{}", String::from_utf8_lossy(&quiet.stderr));
+    assert_eq!(
+        std::fs::read(base.join("obs.serd")).unwrap(),
+        std::fs::read(base.join("quiet.serd")).unwrap()
+    );
+    std::fs::remove_dir_all(&base).ok();
+}
+
+#[test]
+fn fit_refuses_data_exported_for_another_dataset() {
+    // DBLP-ACM and Restaurant both have four columns; only the header
+    // names tell the default `--dataset restaurant` that this is not its
+    // data.
+    let dir = std::env::temp_dir().join(format!("serd_cli_wrong_kind_{}", std::process::id()));
+    let out = bin()
+        .args(["generate", "--dataset", "dblp-acm", "--entities", "200", "--seed", "3"])
+        .args(["--out", dir.to_str().unwrap()])
+        .output()
+        .expect("run generate");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let model = dir.join("model.serd");
+    let out = bin()
+        .args(["fit", "--data", dir.to_str().unwrap(), "--out", model.to_str().unwrap()])
+        .output()
+        .expect("run fit");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(7), "{err}");
+    assert!(
+        err.contains("A.csv") && err.contains("\"title\"") && err.contains("\"name\""),
+        "{err}"
+    );
+    assert!(!model.exists(), "an artifact was written from mismatched data");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn fit_marginals_backend_produces_a_reproducible_artifact() {
     let base = std::env::temp_dir().join(format!("serd_cli_marginals_{}", std::process::id()));
     std::fs::create_dir_all(&base).unwrap();
