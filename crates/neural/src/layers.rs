@@ -51,10 +51,29 @@ impl Linear {
         x.matmul(&self.w).add_row_broadcast(&self.b)
     }
 
-    /// Graph-free forward on a raw tensor (inference path). Uses the same
-    /// `Tensor` kernels as [`Linear::forward`], so results are bit-identical.
+    /// Graph-free forward on a raw tensor (inference path); see
+    /// [`Linear::forward_into`].
     pub fn forward_tensor(&self, x: &Tensor) -> Tensor {
-        x.matmul(&self.w.data()).add_row_broadcast(&self.b.data())
+        let mut out = Tensor::zeros(x.rows(), self.w.shape().1);
+        self.forward_into(x.as_slice(), x.rows(), out.as_mut_slice());
+        out
+    }
+
+    /// Graph-free forward of `rows` row-major input rows into `out`
+    /// (overwritten): the product through `funcs::matmul_into`,
+    /// then the bias added to each row, the same two steps in the same
+    /// order as [`Linear::forward`]'s `matmul` and `add_row_broadcast`, so
+    /// results are bit-identical.
+    pub fn forward_into(&self, x: &[f32], rows: usize, out: &mut [f32]) {
+        out.fill(0.0);
+        crate::funcs::matmul_into(x, rows, &self.w.data(), out);
+        let b = self.b.data();
+        let n = b.cols();
+        for r in 0..rows {
+            for (d, &v) in out[r * n..(r + 1) * n].iter_mut().zip(b.as_slice()) {
+                *d += v;
+            }
+        }
     }
 }
 
@@ -124,11 +143,15 @@ impl LayerNorm {
         x.layer_norm(&self.gain, &self.bias, self.eps)
     }
 
-    /// Graph-free forward on a raw tensor (inference path); bit-identical to
-    /// [`LayerNorm::forward`] because both run
-    /// [`crate::funcs::layer_norm_forward`].
-    pub fn forward_tensor(&self, x: &Tensor) -> Tensor {
-        crate::funcs::layer_norm_forward(x, &self.gain.data(), &self.bias.data(), self.eps).0
+    /// Graph-free forward of row-major rows of `x` into `out` (inference
+    /// path); bit-identical to [`LayerNorm::forward`] because both run
+    /// `funcs::layer_norm_row` on every row.
+    pub fn forward_into(&self, x: &[f32], out: &mut [f32]) {
+        let (gain, bias) = (self.gain.data(), self.bias.data());
+        let cols = gain.cols();
+        for (xr, or) in x.chunks_exact(cols).zip(out.chunks_exact_mut(cols)) {
+            crate::funcs::layer_norm_row(xr, gain.as_slice(), bias.as_slice(), self.eps, or);
+        }
     }
 }
 

@@ -12,25 +12,6 @@ pub struct Tensor {
     data: Vec<f32>,
 }
 
-/// Products below this many flops (`2·m·k·n`) run serially; see
-/// `linalg::Matrix::matmul` for the same cutoff on the f64 side.
-const PAR_FLOP_THRESHOLD: usize = 1 << 18;
-
-/// One output row of a matmul (i-k-j order, zero-skip). Shared by the serial
-/// and parallel paths so they agree bit-for-bit.
-#[inline]
-fn matmul_row(arow: &[f32], other_data: &[f32], ocols: usize, dst: &mut [f32]) {
-    for (k, &a) in arow.iter().enumerate() {
-        if a == 0.0 {
-            continue;
-        }
-        let orow = &other_data[k * ocols..(k + 1) * ocols];
-        for (d, &o) in dst.iter_mut().zip(orow) {
-            *d += a * o;
-        }
-    }
-}
-
 impl Tensor {
     /// A `rows x cols` tensor of zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
@@ -132,7 +113,7 @@ impl Tensor {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Matrix product.
+    /// Matrix product (`funcs::matmul_into`).
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch (graph construction bug, not a
@@ -145,29 +126,7 @@ impl Tensor {
             other.shape()
         );
         let mut out = Tensor::zeros(self.rows, other.cols);
-        let flops = 2 * self.rows * self.cols * other.cols;
-        if flops >= PAR_FLOP_THRESHOLD && self.rows > 1 {
-            // Row-blocked parallel product: each output row is produced by
-            // the same serial kernel as the single-threaded path, so the
-            // result is bit-identical at any thread count.
-            let rows_per_chunk = parallel::default_chunk_size(self.rows);
-            let ocols = other.cols;
-            parallel::par_chunks_mut(
-                &mut out.data,
-                rows_per_chunk * ocols,
-                |ci, block| {
-                    let row0 = ci * rows_per_chunk;
-                    for (bi, dst) in block.chunks_mut(ocols).enumerate() {
-                        matmul_row(self.row(row0 + bi), &other.data, ocols, dst);
-                    }
-                },
-            );
-        } else {
-            for i in 0..self.rows {
-                let dst = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                matmul_row(self.row(i), &other.data, other.cols, dst);
-            }
-        }
+        crate::funcs::matmul_into(&self.data, self.rows, other, &mut out.data);
         out
     }
 
@@ -261,22 +220,11 @@ impl Tensor {
         self.data.iter().sum()
     }
 
-    /// Row-wise softmax.
+    /// Row-wise softmax ([`crate::funcs::softmax_row`] per row).
     pub fn softmax_rows(&self) -> Tensor {
         let mut out = self.clone();
         for r in 0..out.rows {
-            let row = out.row_mut(r);
-            let m = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            let mut z = 0.0;
-            for v in row.iter_mut() {
-                *v = (*v - m).exp();
-                z += *v;
-            }
-            if z > 0.0 {
-                for v in row.iter_mut() {
-                    *v /= z;
-                }
-            }
+            crate::funcs::softmax_row(out.row_mut(r));
         }
         out
     }

@@ -84,6 +84,8 @@ fn json_run_report_covers_every_stage_and_recording_is_inert() {
         "text.candidates",      // decoded text candidates
         "text.gate_rejected",   // candidates the plausibility gate discarded
         "text.repairs",         // text values produced by guided repair
+        "text.repair_rounds",   // search rounds those repairs ran
+        "text.repair_unconverged", // repairs that ran out of rounds
     ] {
         assert!(report.contains(metric), "missing metric {metric} in report:\n{report}");
     }

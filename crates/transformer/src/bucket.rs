@@ -253,15 +253,19 @@ impl PreparedSynthesis<'_> {
             _ => {
                 let _span = obs::span("text.repair");
                 obs::counter("text.repairs", 1);
-                let (out, _) = perturb_toward_keys(
+                let (tol, max_rounds) = (0.03, 300);
+                let (out, achieved, rounds) = perturb_toward_keys(
                     &self.source,
                     &self.source_keys,
                     sim,
                     &syn.pool,
-                    0.03,
-                    300,
+                    tol,
+                    max_rounds,
                     rng,
                 );
+                obs::counter("text.repair_rounds", rounds as u64);
+                let unconverged = rounds == max_rounds && (achieved - sim).abs() > tol;
+                obs::counter("text.repair_unconverged", u64::from(unconverged));
                 out
             }
         }
@@ -270,6 +274,10 @@ impl PreparedSynthesis<'_> {
 
 /// Upper bound on persisted bucket counts.
 const MAX_PERSISTED_BUCKETS: usize = 4096;
+
+/// Upper bound on persisted candidate counts (the paper samples 10): each
+/// candidate is one decoding lane with its own seed and KV caches.
+const MAX_PERSISTED_CANDIDATES: usize = 1024;
 
 impl Persist for BucketedSynthesizer {
     // v2: candidate sampling moved to lockstep batched decoding with
@@ -313,9 +321,13 @@ impl Persist for BucketedSynthesizer {
         if buckets == 0 || buckets > MAX_PERSISTED_BUCKETS {
             return Err(r.invalid(format!("implausible bucket count {buckets}")));
         }
+        let candidates = r.kv_usize("candidates")?;
+        if candidates > MAX_PERSISTED_CANDIDATES {
+            return Err(r.invalid(format!("implausible candidate count {candidates}")));
+        }
         let cfg = BucketedSynthesizerConfig {
             buckets,
-            candidates: r.kv_usize("candidates")?,
+            candidates,
             // Training-only template; synthesis never calls it. Bucket model
             // architectures are read from their own artifacts below.
             arch: TransformerConfig::tiny,
@@ -594,6 +606,19 @@ mod tests {
         );
         let text = syn.to_persist_string().replace("models 3", "models 2");
         assert!(BucketedSynthesizer::from_persist_str(&text).is_err());
+    }
+
+    #[test]
+    fn persist_bounds_the_candidate_count() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let syn =
+            BucketedSynthesizer::train(&corpus(), BucketedSynthesizerConfig::test_tiny(), &mut rng);
+        let text = syn.to_persist_string();
+        let with = |n: usize| text.replace("candidates 3", &format!("candidates {n}"));
+        assert!(BucketedSynthesizer::from_persist_str(&with(MAX_PERSISTED_CANDIDATES)).is_ok());
+        assert!(
+            BucketedSynthesizer::from_persist_str(&with(MAX_PERSISTED_CANDIDATES + 1)).is_err()
+        );
     }
 
     #[test]

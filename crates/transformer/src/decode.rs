@@ -6,16 +6,24 @@
 //! inference path: the encoder memory is processed **once** per source
 //! ([`EncodedSource`]), each candidate ("lane") keeps per-layer key/value
 //! caches of everything it has decoded so far, and one [`BatchDecoder::step`]
-//! appends one token per lane, costing a single row of matmuls per lane plus
-//! one batched pass through the projections.
+//! appends one token per lane, costing one batched pass through the
+//! projections plus one in-place read of each lane's cache.
+//!
+//! A step allocates nothing: the decoder owns its working rows, sized for
+//! its lanes, and reserves its KV caches for the steps it will run.
 //!
 //! **Bit-identity contract.** Logits produced here are bit-identical to the
 //! full autograd [`Seq2SeqTransformer::decode`] over the same prefix:
 //!
-//! * Every projection/normalization/activation runs the same shared kernel
-//!   as the `Var` graph (`Linear::forward_tensor`, `LayerNorm::forward_tensor`,
-//!   `funcs::gelu_scalar`, `Tensor::matmul`'s row kernel) — same float ops,
-//!   same order, row-locally.
+//! * Every projection/normalization/activation runs the same row kernel as
+//!   the `Var` graph (`neural::funcs::matmul_into` and `matmul_row`,
+//!   `layer_norm_row`, `softmax_row`, `gelu_scalar`) — same float ops, same
+//!   order, row-locally.
+//! * Attention reads the caches in place with each score's op sequence
+//!   unchanged: a self-attention score sums `q[k]·K[t][k]` over `k`
+//!   ascending, skipping zero `q[k]`, exactly as `qs.matmul(&ks.transpose())`
+//!   does per entry; the weighted sum of V rows is `matmul_row` over the
+//!   head's column block.
 //! * Causal masking needs no mask here: in the full decode, masked scores
 //!   get `-1e9` added, underflow to exactly `0.0` through the f32
 //!   `exp`, contribute exactly nothing to the softmax normalizer (adding
@@ -26,9 +34,9 @@
 //! The equivalence suite in `tests/decode_equivalence.rs` pins both claims
 //! with `.to_bits()` assertions.
 
-use crate::model::{DecoderLayer, MultiHeadAttention, Seq2SeqTransformer};
+use crate::model::{DecoderLayer, Seq2SeqTransformer};
 use linalg::RowArena;
-use neural::funcs::gelu_scalar;
+use neural::funcs::{gelu_scalar, matmul_row, softmax_row};
 use neural::Tensor;
 
 /// Per-source encoder state, computed once and shared by every candidate
@@ -41,13 +49,13 @@ pub struct EncodedSource {
     cross: Vec<CrossCtx>,
 }
 
-/// Cross-attention context of one decoder layer.
+/// Cross-attention context of one decoder layer. Head `h` reads rows
+/// `h·d_head..(h+1)·d_head` of `kt` and the same column block of `v`.
 struct CrossCtx {
-    /// Per head: transposed keys `(d_head, Ls)` — exactly
-    /// `wk(memory).slice_cols(h·d_head, d_head).transpose()`.
-    kt: Vec<Tensor>,
-    /// Per head: values `(Ls, d_head)`.
-    v: Vec<Tensor>,
+    /// Transposed keys `(d_model, Ls)`: `wk(memory).transpose()`.
+    kt: Tensor,
+    /// Values `(Ls, d_model)`: `wv(memory)`.
+    v: Tensor,
 }
 
 impl EncodedSource {
@@ -56,17 +64,9 @@ impl EncodedSource {
         let cross = model
             .dec_layers
             .iter()
-            .map(|layer| {
-                let attn = &layer.cross_attn;
-                let k = attn.wk.forward_tensor(&memory);
-                let v = attn.wv.forward_tensor(&memory);
-                let dh = attn.d_head;
-                CrossCtx {
-                    kt: (0..attn.n_heads)
-                        .map(|h| k.slice_cols(h * dh, dh).transpose())
-                        .collect(),
-                    v: (0..attn.n_heads).map(|h| v.slice_cols(h * dh, dh)).collect(),
-                }
+            .map(|layer| CrossCtx {
+                kt: layer.cross_attn.wk.forward_tensor(&memory).transpose(),
+                v: layer.cross_attn.wv.forward_tensor(&memory),
             })
             .collect();
         EncodedSource { memory, cross }
@@ -93,13 +93,41 @@ struct Lane {
 }
 
 impl Lane {
-    fn new(layers: usize, d_model: usize) -> Self {
+    fn new(layers: usize, d_model: usize, steps: usize) -> Self {
+        let arenas = || {
+            (0..layers)
+                .map(|_| RowArena::with_row_capacity(d_model, steps))
+                .collect()
+        };
         Lane {
             len: 0,
-            k: (0..layers).map(|_| RowArena::new(d_model)).collect(),
-            v: (0..layers).map(|_| RowArena::new(d_model)).collect(),
+            k: arenas(),
+            v: arenas(),
         }
     }
+}
+
+/// The working rows of one step, sized for every lane of the decoder and
+/// reused by every step: a step with `m` feeds uses the first `m` rows.
+struct Rows {
+    /// Residual stream `(lanes, d_model)`.
+    x: Vec<f32>,
+    /// Layer-norm output `(lanes, d_model)`.
+    norm: Vec<f32>,
+    /// Query, new-key and new-value projections `(lanes, d_model)`.
+    q: Vec<f32>,
+    k: Vec<f32>,
+    v: Vec<f32>,
+    /// Concatenated attention-head outputs `(lanes, d_model)`.
+    heads: Vec<f32>,
+    /// Output projection of a sub-layer, added into `x` `(lanes, d_model)`.
+    proj: Vec<f32>,
+    /// Feed-forward hidden activations `(lanes, d_ff)`.
+    hidden: Vec<f32>,
+    /// One attention row: `max(max_len, Ls)` scores.
+    scores: Vec<f32>,
+    /// Next-token logits `(lanes, vocab)`.
+    logits: Vec<f32>,
 }
 
 /// Lockstep incremental decoder over any number of candidate lanes sharing
@@ -108,69 +136,95 @@ pub struct BatchDecoder<'m> {
     model: &'m Seq2SeqTransformer,
     src: &'m EncodedSource,
     lanes: Vec<Lane>,
+    rows: Rows,
 }
 
 impl<'m> BatchDecoder<'m> {
-    /// A decoder with `n_lanes` empty lanes against `src`.
-    pub fn new(model: &'m Seq2SeqTransformer, src: &'m EncodedSource, n_lanes: usize) -> Self {
-        let layers = model.dec_layers.len();
-        let d = model.config().d_model;
+    /// A decoder with `n_lanes` empty lanes against `src`, whose KV caches
+    /// are reserved for `steps` tokens per lane. Steps up to that count
+    /// allocate nothing; a lane may still run on to the model's `max_len`,
+    /// growing its caches.
+    pub fn new(
+        model: &'m Seq2SeqTransformer,
+        src: &'m EncodedSource,
+        n_lanes: usize,
+        steps: usize,
+    ) -> Self {
+        let cfg = model.config();
+        let (d, layers) = (cfg.d_model, model.dec_layers.len());
+        let buf = |width: usize| vec![0.0f32; n_lanes * width];
         BatchDecoder {
             model,
             src,
-            lanes: (0..n_lanes).map(|_| Lane::new(layers, d)).collect(),
+            lanes: (0..n_lanes)
+                .map(|_| Lane::new(layers, d, steps.min(cfg.max_len)))
+                .collect(),
+            rows: Rows {
+                x: buf(d),
+                norm: buf(d),
+                q: buf(d),
+                k: buf(d),
+                v: buf(d),
+                heads: buf(d),
+                proj: buf(d),
+                hidden: buf(cfg.d_ff),
+                scores: vec![0.0; cfg.max_len.max(src.src_len())],
+                logits: buf(cfg.vocab),
+            },
         }
     }
 
-    /// Feeds one token into each listed lane and returns the
+    /// Feeds one token into each listed lane and returns the row-major
     /// `(feeds.len(), vocab)` next-token logits, row `r` for `feeds[r]`.
     ///
     /// Each lane may appear at most once per step. Row `r` is bit-identical
     /// to the last row of `Seq2SeqTransformer::decode` over that lane's full
     /// prefix (see the module docs for why).
-    pub fn step(&mut self, feeds: &[(usize, usize)]) -> Tensor {
-        assert!(!feeds.is_empty(), "step needs at least one (lane, token) feed");
-        debug_assert!(
-            {
-                let mut seen: Vec<usize> = feeds.iter().map(|&(l, _)| l).collect();
-                seen.sort_unstable();
-                seen.windows(2).all(|w| w[0] != w[1])
-            },
+    pub fn step(&mut self, feeds: &[(usize, usize)]) -> &[f32] {
+        assert!(
+            !feeds.is_empty(),
+            "step needs at least one (lane, token) feed"
+        );
+        assert!(
+            feeds
+                .iter()
+                .enumerate()
+                .all(|(i, &(lane, _))| feeds[..i].iter().all(|&(other, _)| other != lane)),
             "a lane was fed twice in one step"
         );
         let model = self.model;
         let cfg = model.config();
         let d = cfg.d_model;
         let m = feeds.len();
+        let rows = &mut self.rows;
 
         // Embed each lane's new token, mirroring `embed`: table lookup,
         // scale by sqrt(d_model), add the token's positional row.
-        let mut e = Tensor::zeros(m, d);
         {
             let w = model.embed_tgt.w.data();
-            for (r, &(lane, tok)) in feeds.iter().enumerate() {
+            let scale = (d as f32).sqrt();
+            for (x, &(lane, tok)) in rows.x.chunks_exact_mut(d).zip(feeds) {
                 assert!(tok < w.rows(), "token {tok} out of vocab");
+                let len = self.lanes[lane].len;
                 assert!(
-                    self.lanes[lane].len < cfg.max_len,
+                    len < cfg.max_len,
                     "lane {lane} exceeded max_len {}",
                     cfg.max_len
                 );
-                e.row_mut(r).copy_from_slice(w.row(tok));
+                for ((x, &e), &p) in x.iter_mut().zip(w.row(tok)).zip(model.pos.row(len)) {
+                    *x = e * scale + p;
+                }
             }
         }
-        let e = e.scale((d as f32).sqrt());
-        let mut pos = Tensor::zeros(m, d);
-        for (r, &(lane, _)) in feeds.iter().enumerate() {
-            pos.row_mut(r).copy_from_slice(model.pos.row(self.lanes[lane].len));
-        }
-        let mut x = e.add(&pos);
 
         for (li, layer) in model.dec_layers.iter().enumerate() {
-            x = step_layer(layer, &self.src.cross[li], &mut self.lanes, feeds, li, x);
+            step_layer(layer, &self.src.cross[li], &mut self.lanes, feeds, li, rows);
         }
 
-        let n = model.ln_final.forward_tensor(&x);
-        let logits = model.out_proj.forward_tensor(&n);
+        let (x, norm) = (&rows.x[..m * d], &mut rows.norm[..m * d]);
+        model.ln_final.forward_into(x, norm);
+        let logits = &mut rows.logits[..m * cfg.vocab];
+        model.out_proj.forward_into(norm, m, logits);
         for &(lane, _) in feeds {
             self.lanes[lane].len += 1;
         }
@@ -179,90 +233,108 @@ impl<'m> BatchDecoder<'m> {
     }
 }
 
-/// One decoder layer over the `(m, d_model)` batch of new rows: batched
-/// projections, per-lane cached self-attention, shared cross-attention.
+/// One decoder layer over the first `m = feeds.len()` rows of `rows.x`:
+/// batched projections, per-lane cached self-attention, shared
+/// cross-attention, feed-forward; `rows.x` is updated in place.
 fn step_layer(
     layer: &DecoderLayer,
     cross: &CrossCtx,
     lanes: &mut [Lane],
     feeds: &[(usize, usize)],
     li: usize,
-    x: Tensor,
-) -> Tensor {
-    let (m, d) = x.shape();
+    rows: &mut Rows,
+) {
+    let d = cross.kt.rows();
+    let m = feeds.len();
+    let n = m * d;
 
     // Causal self-attention: project the new rows in one batch, then attend
     // each lane's row against its own cache.
     let attn = &layer.self_attn;
-    let n = layer.ln1.forward_tensor(&x);
-    let q = attn.wq.forward_tensor(&n);
-    let k_new = attn.wk.forward_tensor(&n);
-    let v_new = attn.wv.forward_tensor(&n);
-    let mut heads_out = Tensor::zeros(m, d);
-    for (r, &(lane, _)) in feeds.iter().enumerate() {
-        let lane = &mut lanes[lane];
-        lane.k[li].push_row(k_new.row(r));
-        lane.v[li].push_row(v_new.row(r));
-        let qrow = Tensor::from_vec(1, d, q.row(r).to_vec());
-        let a = attn_row(attn, &qrow, &lane.k[li], &lane.v[li]);
-        heads_out.row_mut(r).copy_from_slice(a.row(0));
-    }
-    let a = attn.wo.forward_tensor(&heads_out);
-    let x = x.add(&a);
-
-    // Cross-attention: every lane shares the precomputed memory K/V, so the
-    // whole batch goes through each head at once (row-local, bit-identical
-    // to per-lane).
-    let cattn = &layer.cross_attn;
-    let n2 = layer.ln2.forward_tensor(&x);
-    let q2 = cattn.wq.forward_tensor(&n2);
-    let scale = 1.0 / (cattn.d_head as f32).sqrt();
-    let mut heads = Vec::with_capacity(cattn.n_heads);
-    for h in 0..cattn.n_heads {
-        let qs = q2.slice_cols(h * cattn.d_head, cattn.d_head);
-        let scores = qs.matmul(&cross.kt[h]).scale(scale);
-        let attnw = scores.softmax_rows();
-        heads.push(attnw.matmul(&cross.v[h]));
-    }
-    let refs: Vec<&Tensor> = heads.iter().collect();
-    let c = cattn.wo.forward_tensor(&Tensor::concat_cols(&refs));
-    let x = x.add(&c);
-
-    // Feed-forward.
-    let n3 = layer.ln3.forward_tensor(&x);
-    let h1 = layer.ff.l1.forward_tensor(&n3).map(gelu_scalar);
-    let f = layer.ff.l2.forward_tensor(&h1);
-    x.add(&f)
-}
-
-/// Single-row multi-head self-attention of `q` against a lane's KV cache.
-fn attn_row(
-    attn: &MultiHeadAttention,
-    q: &Tensor,
-    kc: &RowArena<f32>,
-    vc: &RowArena<f32>,
-) -> Tensor {
     let dh = attn.d_head;
     let scale = 1.0 / (dh as f32).sqrt();
-    let mut heads = Vec::with_capacity(attn.n_heads);
-    for h in 0..attn.n_heads {
-        let qs = q.slice_cols(h * dh, dh);
-        let ks = head_slice(kc, h * dh, dh);
-        let vs = head_slice(vc, h * dh, dh);
-        let scores = qs.matmul(&ks.transpose()).scale(scale);
-        let attnw = scores.softmax_rows();
-        heads.push(attnw.matmul(&vs));
+    layer.ln1.forward_into(&rows.x[..n], &mut rows.norm[..n]);
+    attn.wq.forward_into(&rows.norm[..n], m, &mut rows.q[..n]);
+    attn.wk.forward_into(&rows.norm[..n], m, &mut rows.k[..n]);
+    attn.wv.forward_into(&rows.norm[..n], m, &mut rows.v[..n]);
+    for (r, &(lane, _)) in feeds.iter().enumerate() {
+        let lane = &mut lanes[lane];
+        let (kc, vc) = (&mut lane.k[li], &mut lane.v[li]);
+        kc.push_row(&rows.k[r * d..(r + 1) * d]);
+        vc.push_row(&rows.v[r * d..(r + 1) * d]);
+        let scores = &mut rows.scores[..kc.rows()];
+        for h in 0..attn.n_heads {
+            let off = h * dh;
+            let q = &rows.q[r * d + off..r * d + off + dh];
+            for (s, krow) in scores.iter_mut().zip(kc.data().chunks_exact(d)) {
+                *s = dot_zero_skip(q, &krow[off..off + dh]) * scale;
+            }
+            softmax_row(scores);
+            let out = &mut rows.heads[r * d + off..r * d + off + dh];
+            out.fill(0.0);
+            matmul_row(scores, &vc.data()[off..], d, out);
+        }
     }
-    let refs: Vec<&Tensor> = heads.iter().collect();
-    Tensor::concat_cols(&refs)
+    attn.wo
+        .forward_into(&rows.heads[..n], m, &mut rows.proj[..n]);
+    add_assign(&mut rows.x[..n], &rows.proj[..n]);
+
+    // Cross-attention: every lane's row attends over the shared memory K/V
+    // (row-local, so identical to the batched per-head matmuls).
+    let cattn = &layer.cross_attn;
+    let dh = cattn.d_head;
+    let scale = 1.0 / (dh as f32).sqrt();
+    let ls = cross.kt.cols();
+    layer.ln2.forward_into(&rows.x[..n], &mut rows.norm[..n]);
+    cattn.wq.forward_into(&rows.norm[..n], m, &mut rows.q[..n]);
+    let scores = &mut rows.scores[..ls];
+    for r in 0..m {
+        for h in 0..cattn.n_heads {
+            let off = h * dh;
+            scores.fill(0.0);
+            let q = &rows.q[r * d + off..r * d + off + dh];
+            matmul_row(q, &cross.kt.as_slice()[off * ls..], ls, scores);
+            for s in scores.iter_mut() {
+                *s *= scale;
+            }
+            softmax_row(scores);
+            let out = &mut rows.heads[r * d + off..r * d + off + dh];
+            out.fill(0.0);
+            matmul_row(scores, &cross.v.as_slice()[off..], d, out);
+        }
+    }
+    cattn
+        .wo
+        .forward_into(&rows.heads[..n], m, &mut rows.proj[..n]);
+    add_assign(&mut rows.x[..n], &rows.proj[..n]);
+
+    // Feed-forward.
+    let hidden = &mut rows.hidden[..m * layer.ff.l1.b.shape().1];
+    layer.ln3.forward_into(&rows.x[..n], &mut rows.norm[..n]);
+    layer.ff.l1.forward_into(&rows.norm[..n], m, hidden);
+    for v in hidden.iter_mut() {
+        *v = gelu_scalar(*v);
+    }
+    layer.ff.l2.forward_into(hidden, m, &mut rows.proj[..n]);
+    add_assign(&mut rows.x[..n], &rows.proj[..n]);
 }
 
-/// Columns `[start, start+width)` of a cache, as a `(rows, width)` tensor —
-/// the values `Tensor::slice_cols` would produce on the full cache.
-fn head_slice(a: &RowArena<f32>, start: usize, width: usize) -> Tensor {
-    let mut out = Tensor::zeros(a.rows(), width);
-    for r in 0..a.rows() {
-        out.row_mut(r).copy_from_slice(&a.row(r)[start..start + width]);
+/// `Σ_k q[k]·k_row[k]` from `0.0`, `k` ascending, zero `q[k]` skipped: the
+/// op sequence `matmul_row` runs for one entry of `q · Kᵀ`.
+#[inline]
+fn dot_zero_skip(q: &[f32], k_row: &[f32]) -> f32 {
+    let mut acc = 0.0f32;
+    for (&a, &k) in q.iter().zip(k_row) {
+        if a != 0.0 {
+            acc += a * k;
+        }
     }
-    out
+    acc
+}
+
+/// `x += y` element-wise (the residual add, `Tensor::add`'s op).
+fn add_assign(x: &mut [f32], y: &[f32]) {
+    for (a, &b) in x.iter_mut().zip(y) {
+        *a += b;
+    }
 }

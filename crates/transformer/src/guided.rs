@@ -265,14 +265,15 @@ pub fn perturb_toward<'a, R: Rng + ?Sized>(
     max_rounds: usize,
     rng: &mut R,
 ) -> (String, f64) {
-    perturb_toward_keys(s, &gram_keys(s), target, pool, tol, max_rounds, rng)
+    let (out, sim, _) = perturb_toward_keys(s, &gram_keys(s), target, pool, tol, max_rounds, rng);
+    (out, sim)
 }
 
 /// [`perturb_toward`] against `source`, the [`gram_keys`] of `s`, built once
-/// by the caller. Each proposal is scored from its edit over the current
-/// tokens, written into one reused char buffer; only the winning edit of a
-/// round is applied. Every score is bit-equal to
-/// `qgram_jaccard(s, &candidate.join(" "), 3)`.
+/// by the caller, also returning the number of search rounds it ran. Each
+/// proposal is scored from its edit over the current tokens, written into
+/// one reused char buffer; only the winning edit of a round is applied.
+/// Every score is bit-equal to `qgram_jaccard(s, &candidate.join(" "), 3)`.
 pub(crate) fn perturb_toward_keys<'a, R: Rng + ?Sized>(
     s: &'a str,
     source: &[u64],
@@ -281,7 +282,7 @@ pub(crate) fn perturb_toward_keys<'a, R: Rng + ?Sized>(
     tol: f64,
     max_rounds: usize,
     rng: &mut R,
-) -> (String, f64) {
+) -> (String, f64, usize) {
     let target = target.clamp(0.0, 1.0);
     // Case- and punctuation-preserving tokens of the source string.
     let mut current: Vec<&str> = s.split_whitespace().collect();
@@ -293,14 +294,16 @@ pub(crate) fn perturb_toward_keys<'a, R: Rng + ?Sized>(
 
     // target == 1 means an exact copy is wanted.
     if target >= 1.0 - f64::EPSILON {
-        return (s.to_string(), 1.0);
+        return (s.to_string(), 1.0, 0);
     }
 
     let width = 8;
+    let mut rounds = 0;
     for _ in 0..max_rounds {
         if (best_sim - target).abs() <= tol {
             break;
         }
+        rounds += 1;
         let mut best_round: Option<(Edit, f64)> = None;
         for _ in 0..width {
             let need_lower = best_sim > target;
@@ -339,7 +342,7 @@ pub(crate) fn perturb_toward_keys<'a, R: Rng + ?Sized>(
             }
         }
     }
-    (current.join(" "), best_sim)
+    (current.join(" "), best_sim, rounds)
 }
 
 #[cfg(test)]

@@ -317,50 +317,10 @@ impl Seq2SeqTransformer {
         EncodedSource::from_framed(self, &frame(src))
     }
 
-    /// Samples an output id sequence (without specials) for an unframed
-    /// source, using temperature sampling. Stops at EOS or `max_out` tokens.
-    pub fn generate<R: Rng + ?Sized>(
-        &self,
-        src: &[usize],
-        max_out: usize,
-        temperature: f32,
-        rng: &mut R,
-    ) -> Vec<usize> {
-        let enc = self.encode_source(src);
-        self.generate_from(&enc, max_out, temperature, rng)
-    }
-
-    /// [`Seq2SeqTransformer::generate`] against an already-encoded source.
-    /// Consumes the same RNG stream and emits the same tokens as the old
-    /// full-redecode loop (the KV-cached logits are bit-identical).
-    pub fn generate_from<R: Rng + ?Sized>(
-        &self,
-        enc: &EncodedSource,
-        max_out: usize,
-        temperature: f32,
-        rng: &mut R,
-    ) -> Vec<usize> {
-        let mut dec = BatchDecoder::new(self, enc, 1);
-        let mut out: Vec<usize> = Vec::new();
-        let mut last = BOS;
-        let limit = max_out.min(self.cfg.max_len - 1);
-        for _ in 0..limit {
-            let logits = dec.step(&[(0, last)]);
-            let id = sample_from_logits(logits.row(0), temperature, rng);
-            if id == EOS {
-                break;
-            }
-            out.push(id);
-            last = id;
-        }
-        out
-    }
-
     /// Decodes `n` independent temperature-sampled candidates in lockstep
     /// against one encoded source. Each candidate draws from its own RNG
     /// lane seeded up front from `rng`, so the batch is reproducible and
-    /// identical to running [`Seq2SeqTransformer::generate_from`] serially
-    /// with the same per-lane seeds (see `generate_lanes`).
+    /// each candidate is independent of the others (see `generate_lanes`).
     pub fn generate_batch<R: Rng + ?Sized>(
         &self,
         enc: &EncodedSource,
@@ -373,9 +333,12 @@ impl Seq2SeqTransformer {
         self.generate_lanes(enc, &seeds, max_out, temperature)
     }
 
-    /// Lockstep batched decoding with one explicit RNG seed per lane.
-    /// Lane `i` produces exactly what `generate_from` produces with
-    /// `StdRng::seed_from_u64(seeds[i])`.
+    /// Lockstep batched decoding with one explicit RNG seed per lane, using
+    /// temperature sampling (`temperature <= 0` means argmax). Lane `i`
+    /// feeds `BOS`, then each token it samples from
+    /// `StdRng::seed_from_u64(seeds[i])`, and stops at `EOS` or `max_out`
+    /// tokens; its output (without specials) does not depend on the other
+    /// lanes.
     pub fn generate_lanes(
         &self,
         enc: &EncodedSource,
@@ -387,38 +350,31 @@ impl Seq2SeqTransformer {
         if n == 0 {
             return Vec::new();
         }
-        let timer = obs::enabled().then(std::time::Instant::now);
-        let mut rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
-        let mut dec = BatchDecoder::new(self, enc, n);
-        let mut outs: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut last: Vec<usize> = vec![BOS; n];
-        let mut alive: Vec<usize> = (0..n).collect();
         let limit = max_out.min(self.cfg.max_len - 1);
-        let mut tokens = 0u64;
+        let mut rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
+        let mut dec = BatchDecoder::new(self, enc, n, limit);
+        let mut outs: Vec<Vec<usize>> = vec![Vec::new(); n];
+        // The live lanes with the token each feeds next, in lane order;
+        // lanes that emit EOS drop out in place.
+        let mut feeds: Vec<(usize, usize)> = (0..n).map(|lane| (lane, BOS)).collect();
+        let mut probs = Vec::with_capacity(self.cfg.vocab);
         for _ in 0..limit {
-            if alive.is_empty() {
+            if feeds.is_empty() {
                 break;
             }
-            let feeds: Vec<(usize, usize)> = alive.iter().map(|&l| (l, last[l])).collect();
             let logits = dec.step(&feeds);
-            let mut still_alive = Vec::with_capacity(alive.len());
-            for (r, &lane) in alive.iter().enumerate() {
-                let id = sample_from_logits(logits.row(r), temperature, &mut rngs[lane]);
-                tokens += 1;
+            let mut live = 0;
+            for (r, row) in logits.chunks_exact(self.cfg.vocab).enumerate() {
+                let lane = feeds[r].0;
+                let id = sample_from_logits(row, temperature, &mut rngs[lane], &mut probs);
                 if id == EOS {
                     continue;
                 }
                 outs[lane].push(id);
-                last[lane] = id;
-                still_alive.push(lane);
+                feeds[live] = (lane, id);
+                live += 1;
             }
-            alive = still_alive;
-        }
-        if let Some(t0) = timer {
-            let secs = t0.elapsed().as_secs_f64();
-            if secs > 0.0 {
-                obs::gauge("decode.tokens_per_sec", tokens as f64 / secs);
-            }
+            feeds.truncate(live);
         }
         outs
     }
@@ -583,8 +539,14 @@ fn build_causal_mask(l: usize) -> Tensor {
 }
 
 /// Temperature sampling over a logit row; `temperature <= 0` means argmax.
-/// `PAD` and `BOS` are never emitted.
-fn sample_from_logits<R: Rng + ?Sized>(logits: &[f32], temperature: f32, rng: &mut R) -> usize {
+/// `PAD` and `BOS` are never emitted. `probs` is scratch space, reused
+/// across calls.
+fn sample_from_logits<R: Rng + ?Sized>(
+    logits: &[f32],
+    temperature: f32,
+    rng: &mut R,
+    probs: &mut Vec<f32>,
+) -> usize {
     let forbidden = |i: usize| i == PAD || i == BOS;
     if temperature <= 0.0 {
         return logits
@@ -595,16 +557,21 @@ fn sample_from_logits<R: Rng + ?Sized>(logits: &[f32], temperature: f32, rng: &m
             .map(|(i, _)| i)
             .unwrap_or(EOS);
     }
-    let scaled: Vec<f32> = logits
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| if forbidden(i) { f32::NEG_INFINITY } else { v / temperature })
-        .collect();
-    let m = scaled.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let exps: Vec<f32> = scaled.iter().map(|&v| (v - m).exp()).collect();
-    let z: f32 = exps.iter().sum();
+    probs.clear();
+    probs.extend(logits.iter().enumerate().map(|(i, &v)| {
+        if forbidden(i) {
+            f32::NEG_INFINITY
+        } else {
+            v / temperature
+        }
+    }));
+    let m = probs.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    for v in probs.iter_mut() {
+        *v = (*v - m).exp();
+    }
+    let z: f32 = probs.iter().sum();
     let mut u: f32 = rng.gen::<f32>() * z;
-    for (i, &e) in exps.iter().enumerate() {
+    for (i, &e) in probs.iter().enumerate() {
         if u < e {
             return i;
         }
@@ -659,7 +626,8 @@ mod tests {
                 opt.step();
             }
         }
-        let out = model.generate(&vocab.encode("ab", false), 8, 0.0, &mut rng);
+        let enc = model.encode_source(&vocab.encode("ab", false));
+        let out = model.generate_lanes(&enc, &[rng.gen()], 8, 0.0).remove(0);
         assert_eq!(vocab.decode(&out), "ab");
     }
 
@@ -667,7 +635,8 @@ mod tests {
     fn generate_respects_max_out() {
         let mut rng = StdRng::seed_from_u64(3);
         let model = Seq2SeqTransformer::new(TransformerConfig::tiny(20), &mut rng);
-        let out = model.generate(&[4, 5], 5, 1.0, &mut rng);
+        let enc = model.encode_source(&[4, 5]);
+        let out = model.generate_lanes(&enc, &[rng.gen()], 5, 1.0).remove(0);
         assert!(out.len() <= 5);
         assert!(out.iter().all(|&id| id != PAD && id != BOS));
     }
@@ -683,11 +652,12 @@ mod tests {
     #[test]
     fn sampling_argmax_vs_temperature() {
         let mut rng = StdRng::seed_from_u64(5);
+        let mut probs = Vec::new();
         let logits = vec![0.0, 0.0, 0.1, 0.0, 5.0, 1.0];
-        assert_eq!(sample_from_logits(&logits, 0.0, &mut rng), 4);
+        assert_eq!(sample_from_logits(&logits, 0.0, &mut rng, &mut probs), 4);
         // High temperature still never emits PAD/BOS.
         for _ in 0..50 {
-            let id = sample_from_logits(&logits, 10.0, &mut rng);
+            let id = sample_from_logits(&logits, 10.0, &mut rng, &mut probs);
             assert!(id != PAD && id != BOS);
         }
     }

@@ -85,6 +85,25 @@ fn oversized_mixture_header_counts_error_instead_of_aborting() {
     }
 }
 
+// Each text model's `candidates` line sets how many decoding lanes (one RNG
+// seed and one set of KV caches each) every text value allocates. A count
+// far beyond any real configuration used to load fine and then abort the
+// process at synthesis time.
+#[test]
+fn oversized_text_model_candidate_count_errors_instead_of_aborting() {
+    let text = artifact();
+    let line = text
+        .lines()
+        .find(|l| l.starts_with("candidates "))
+        .expect("artifact embeds a text model");
+    let mutated = text.replacen(&format!("{line}\n"), "candidates 100000000000\n", 1);
+    assert_ne!(mutated, text);
+    assert!(
+        SerdModel::from_persist_str(&mutated).is_err(),
+        "`candidates 100000000000` was accepted"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
