@@ -54,20 +54,39 @@ pub struct Bundle {
     pub online_secs: f64,
 }
 
-/// Generates the dataset and runs all three methods (deterministic per
-/// `seed`).
-pub fn prepare(kind: DatasetKind, seed: u64) -> Bundle {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let sim = generate_with_min_matches(kind, scale_for(kind), MIN_MATCHES, &mut rng);
+/// One timed SERD run: the simulated dataset, then `fit` (offline) and
+/// `synthesize` (online) on it, Table IV's two columns.
+pub struct SerdRun {
+    /// The simulated real dataset + background corpora.
+    pub sim: SimulatedDataset,
+    /// SERD output.
+    pub serd: SynthesizedEr,
+    /// Wall-clock seconds of `fit`.
+    pub offline_secs: f64,
+    /// Wall-clock seconds of `synthesize`.
+    pub online_secs: f64,
+}
+
+/// Generates the dataset and runs SERD on it, drawing everything from `rng`.
+pub fn run_serd(kind: DatasetKind, rng: &mut StdRng) -> SerdRun {
+    let sim = generate_with_min_matches(kind, scale_for(kind), MIN_MATCHES, rng);
     let t_fit = std::time::Instant::now();
     let synthesizer = SerdSynthesizer::from_model(
-        SerdSynthesizer::fit(&sim.er, &sim.background, SerdConfig::fast(), &mut rng)
+        SerdSynthesizer::fit(&sim.er, &sim.background, SerdConfig::fast(), rng)
             .expect("SERD fit"),
     );
     let offline_secs = t_fit.elapsed().as_secs_f64();
     let t_syn = std::time::Instant::now();
-    let serd = synthesizer.synthesize(&mut rng).expect("SERD synthesize");
+    let serd = synthesizer.synthesize(rng).expect("SERD synthesize");
     let online_secs = t_syn.elapsed().as_secs_f64();
+    SerdRun { sim, serd, offline_secs, online_secs }
+}
+
+/// Generates the dataset and runs all three methods (deterministic per
+/// `seed`).
+pub fn prepare(kind: DatasetKind, seed: u64) -> Bundle {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let SerdRun { sim, serd, offline_secs, online_secs } = run_serd(kind, &mut rng);
     let minus = serd_minus(&sim.er, &sim.background, SerdConfig::fast(), &mut rng)
         .expect("SERD- synthesize");
     let emb = embench(&sim.er, &mut rng).expect("EMBench");

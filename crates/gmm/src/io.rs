@@ -104,6 +104,11 @@ pub fn omixture_from_str(text: &str) -> Result<OMixture> {
     let mut header_lines = header.lines();
     expect(&mut header_lines, "serd-omixture-v1")?;
     let pi = hex_to_f64(&parse_kv::<String>(header_lines.next(), "pi")?)?;
+    // Checked before `OMixture::new`, which clamps π into range: a clamped
+    // ±Inf or 2.0 would otherwise load silently. NaN fails the range test.
+    if !(0.0..=1.0).contains(&pi) {
+        return Err(GmmError::Parse(format!("pi {pi} out of [0, 1]")));
+    }
     let mut mn = rest.splitn(2, "--n--\n");
     let m_text = mn
         .next()
@@ -147,11 +152,9 @@ impl Persist for OMixture {
             line: start,
             msg: format!("o-distribution: {e}"),
         })?;
-        // `omixture_from_str` checks structure; finiteness is this layer's
-        // policy — a NaN mean would silently poison every posterior online.
-        if !o.pi().is_finite() || !(0.0..=1.0).contains(&o.pi()) {
-            return Err(r.invalid(format!("pi {} out of [0, 1]", o.pi())));
-        }
+        // `omixture_from_str` checks structure and π's range; finiteness of
+        // the mixtures is this layer's policy — a NaN mean would silently
+        // poison every posterior online.
         for (name, g) in [("m", o.m()), ("n", o.n())] {
             let st = g.stats();
             let finite = g.reg_covar().is_finite()

@@ -57,14 +57,30 @@ fn json_run_report_covers_every_stage_and_recording_is_inert() {
     // stages nested under them, so their names appear in the tree).
     for span in ["\"fit\"", "\"synthesize\"", "\"blocking\"", "\"similarity_vectors\"",
                  "\"gmm.fit_auto\"", "\"transformer.train\"", "\"s3.label\"",
+                 // The fit-time probe of each trained bucket model, nested
+                 // under `transformer.train`; its decodes run S2's candidate
+                 // step, so `text.generate` appears there.
+                 "\"transformer.probe\"",
                  // S2 sub-stages, nested under `synthesize`.
                  "\"s2.decode\"", "\"s2.plausibility\"", "\"s2.profile\"",
                  "\"s2.delta_vectors\"", "\"s2.would_reject\"", "\"s2.commit\"",
-                 // Text synthesis inside `s2.decode`: model candidates and
-                 // guided repair.
+                 // Text synthesis: model candidates (under the probe, and
+                 // under `s2.decode` for kept models) and guided repair
+                 // (under `s2.decode`).
                  "\"text.generate\"", "\"text.repair\""] {
         assert!(report.contains(span), "missing span {span} in report:\n{report}");
     }
+
+    // The probe counts its verdicts. At this seed it drops every model, so
+    // S2 decodes no candidate: every text value is a repair.
+    let fit = subtree(&report, "fit");
+    let synthesize = subtree(&report, "synthesize");
+    for counter in ["\"text.models_kept\":0", "\"text.models_dropped\":6"] {
+        assert!(fit.contains(counter), "fit report lacks {counter}:\n{fit}");
+    }
+    assert!(!synthesize.contains("text.candidates"), "decoded candidates:\n{synthesize}");
+    assert!(!synthesize.contains("decode.kv_cache_steps"), "decoded tokens:\n{synthesize}");
+    assert!(synthesize.contains("\"text.repair\""));
 
     // Metrics recorded by each subsystem.
     for metric in [
@@ -81,6 +97,8 @@ fn json_run_report_covers_every_stage_and_recording_is_inert() {
         "pool.jobs_executed",   // parallel pool stats
         "pool.utilization",
         "epsilon",              // total privacy budget
+        "text.models_kept",     // bucket models the probe kept
+        "text.models_dropped",  // bucket models the probe dropped
         "text.candidates",      // decoded text candidates
         "text.gate_rejected",   // candidates the plausibility gate discarded
         "text.repairs",         // text values produced by guided repair
@@ -94,4 +112,30 @@ fn json_run_report_covers_every_stage_and_recording_is_inert() {
     assert!(report.contains("accepted"));
     assert!(report.contains("rejected.discriminator"));
     assert!(report.contains("rejected.distribution"));
+}
+
+/// The JSON object of the first span node named `name`.
+fn subtree<'r>(report: &'r str, name: &str) -> &'r str {
+    let start = report
+        .find(&format!("{{\"name\":\"{name}\""))
+        .unwrap_or_else(|| panic!("no span {name:?} in report:\n{report}"));
+    let (mut depth, mut in_string, mut escaped) = (0usize, false, false);
+    for (i, c) in report[start..].char_indices() {
+        match (in_string, escaped, c) {
+            (true, true, _) => escaped = false,
+            (true, false, '\\') => escaped = true,
+            (true, false, '"') => in_string = false,
+            (true, false, _) => {}
+            (false, _, '"') => in_string = true,
+            (false, _, '{') => depth += 1,
+            (false, _, '}') => {
+                depth -= 1;
+                if depth == 0 {
+                    return &report[start..=start + i];
+                }
+            }
+            (false, _, _) => {}
+        }
+    }
+    panic!("unterminated span {name:?}");
 }

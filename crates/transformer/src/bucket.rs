@@ -10,8 +10,9 @@ use crate::vocab::CharVocab;
 use neural::layers::Module;
 use neural::optim::DpSgd;
 use persist::{Persist, Reader, Writer};
+use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 
 /// Configuration for training the bucketed synthesizer.
 #[derive(Debug, Clone)]
@@ -75,6 +76,14 @@ impl BucketedSynthesizerConfig {
     }
 }
 
+/// Training pairs per bucket on which the fit-time probe runs S2's
+/// candidate step (see [`BucketedSynthesizer::train`]).
+const PROBE_SOURCES: usize = 4;
+
+/// Seed of the probe's RNG, mixed with the bucket index: the probe draws
+/// nothing from the fit RNG, so it leaves every other fitted byte as is.
+const PROBE_SEED: u64 = 0x5e4d_0b5e_7a11_0000;
+
 /// The trained family of per-bucket transformers for one textual column.
 pub struct BucketedSynthesizer {
     cfg: BucketedSynthesizerConfig,
@@ -93,6 +102,13 @@ impl BucketedSynthesizer {
     /// with guided-perturbation pairs so every model has data. When
     /// `cfg.sigma > 0`, models are trained with DP-SGD and the total ε at
     /// δ = 1e-5 is recorded.
+    ///
+    /// Each trained model is then probed: S2's candidate step runs on the
+    /// bucket's first [`PROBE_SOURCES`] training pairs `(s, t)` at target
+    /// `jaccard(s, t)`. A model none of whose probes yields a candidate S2
+    /// would return is dropped (persisted as `model absent`), so S2 goes
+    /// straight to repair for its bucket instead of decoding candidates it
+    /// never uses. ε still counts the dropped models' training.
     pub fn train<R: Rng + ?Sized>(
         background: &[String],
         cfg: BucketedSynthesizerConfig,
@@ -116,13 +132,43 @@ impl BucketedSynthesizer {
             models.push(Some(model));
         }
         obs::gauge("transformer.epsilon", epsilon_spent);
-        BucketedSynthesizer {
-            cfg,
-            vocab,
-            models,
-            pool,
-            epsilon_spent,
+        let mut syn = BucketedSynthesizer { cfg, vocab, models, pool, epsilon_spent };
+        syn.drop_unused_models(&buckets);
+        syn
+    }
+
+    /// The fit-time probe of [`BucketedSynthesizer::train`]: drops every
+    /// bucket model that returns no candidate on its probe sources.
+    fn drop_unused_models(&mut self, buckets: &[Vec<(String, String)>]) {
+        let _span = obs::span("transformer.probe");
+        let (mut kept, mut dropped) = (0u64, 0u64);
+        for (b, pairs) in buckets.iter().enumerate() {
+            if self.models[b].is_none() {
+                continue;
+            }
+            if self.probe(b, pairs) {
+                kept += 1;
+            } else {
+                self.models[b] = None;
+                dropped += 1;
+            }
         }
+        obs::counter("text.models_kept", kept);
+        obs::counter("text.models_dropped", dropped);
+    }
+
+    /// Whether S2's candidate step returns a candidate from bucket `b`'s
+    /// model for any of its first [`PROBE_SOURCES`] training pairs.
+    fn probe(&self, b: usize, pairs: &[(String, String)]) -> bool {
+        let mut rng = StdRng::seed_from_u64(PROBE_SEED ^ b as u64);
+        pairs.iter().take(PROBE_SOURCES).any(|(s, t)| {
+            // A pair lands in the bucket of this score, so `prepare` picks
+            // model `b` (or an exact copy, which uses no model).
+            let target = jaccard_keys(&gram_keys(s), &gram_keys(t));
+            let prepared = self.prepare(s, target);
+            debug_assert!(prepared.exact || self.bucket_of(target) == b);
+            prepared.candidate(&mut rng).is_some()
+        })
     }
 
     /// Index of the bucket containing `sim`.
@@ -208,67 +254,82 @@ impl PreparedSynthesis<'_> {
         if self.exact {
             return self.source.clone();
         }
+        self.candidate(rng).unwrap_or_else(|| self.repair(rng))
+    }
+
+    /// S2's candidate step: decodes `cfg.candidates` lanes from the bucket
+    /// model and returns the plausible candidate closest to the target, if
+    /// it lands within `repair_tol`. `None` when there is no model (nothing
+    /// is drawn from `rng` then) or no candidate qualifies. The fit-time
+    /// probe runs this same step.
+    fn candidate<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<String> {
+        let pm = self.model.as_ref()?;
         let syn = self.syn;
         let sim = self.target;
+        let _span = obs::span("text.generate");
+        let (n, max_out, temperature) = (syn.cfg.candidates, syn.cfg.max_out, syn.cfg.temperature);
+        let candidates = pm.model.generate_batch(&pm.enc, n, max_out, temperature, rng);
         let mut scratch = GramScratch::default();
         let mut best: Option<(String, f64)> = None;
-        if let Some(pm) = &self.model {
-            let _span = obs::span("text.generate");
-            let candidates =
-                pm.model
-                    .generate_batch(&pm.enc, syn.cfg.candidates, syn.cfg.max_out, syn.cfg.temperature, rng);
-            let mut gate_rejected = 0u64;
-            for ids in &candidates {
-                let out = syn.vocab.decode(ids);
-                // A candidate must look like domain text: most of its tokens
-                // come from the background pool or the source string. A
-                // small CPU-trained model can hit the target similarity with
-                // character soup; this gate keeps Table-I-style semantics
-                // (DESIGN.md §3.4).
-                let tokens = similarity::tokenize(&out);
-                let plausible = !tokens.is_empty()
-                    && tokens
-                        .iter()
-                        .filter(|t| syn.pool.contains(t) || pm.src_tokens.contains(*t))
-                        .count() as f64
-                        / tokens.len() as f64
-                        >= 0.8;
-                if !plausible {
-                    gate_rejected += 1;
-                    continue;
-                }
-                let achieved = jaccard_keys(&self.source_keys, scratch.load(&out));
-                if best
-                    .as_ref()
-                    .map_or(true, |(_, b)| (achieved - sim).abs() < (b - sim).abs())
-                {
-                    best = Some((out, achieved));
-                }
+        let mut gate_rejected = 0u64;
+        for ids in &candidates {
+            let out = syn.vocab.decode(ids);
+            // A candidate must look like domain text: most of its tokens
+            // come from the background pool or the source string. A small
+            // CPU-trained model can hit the target similarity with character
+            // soup; this gate keeps Table-I-style semantics (DESIGN.md §3.4).
+            let tokens = similarity::tokenize(&out);
+            let plausible = !tokens.is_empty()
+                && tokens
+                    .iter()
+                    .filter(|t| syn.pool.contains(t) || pm.src_tokens.contains(*t))
+                    .count() as f64
+                    / tokens.len() as f64
+                    >= 0.8;
+            if !plausible {
+                gate_rejected += 1;
+                continue;
             }
-            obs::counter("text.candidates", candidates.len() as u64);
-            obs::counter("text.gate_rejected", gate_rejected);
-        }
-        match best {
-            Some((out, achieved)) if (achieved - sim).abs() <= syn.cfg.repair_tol => out,
-            _ => {
-                let _span = obs::span("text.repair");
-                obs::counter("text.repairs", 1);
-                let (tol, max_rounds) = (0.03, 300);
-                let (out, achieved, rounds) = perturb_toward_keys(
-                    &self.source,
-                    &self.source_keys,
-                    sim,
-                    &syn.pool,
-                    tol,
-                    max_rounds,
-                    rng,
-                );
-                obs::counter("text.repair_rounds", rounds as u64);
-                let unconverged = rounds == max_rounds && (achieved - sim).abs() > tol;
-                obs::counter("text.repair_unconverged", u64::from(unconverged));
-                out
+            let achieved = jaccard_keys(&self.source_keys, scratch.load(&out));
+            if best.as_ref().map_or(true, |(_, b)| (achieved - sim).abs() < (b - sim).abs()) {
+                best = Some((out, achieved));
             }
         }
+        obs::counter("text.candidates", candidates.len() as u64);
+        obs::counter("text.gate_rejected", gate_rejected);
+        best.filter(|(_, achieved)| (achieved - sim).abs() <= syn.cfg.repair_tol)
+            .map(|(out, _)| out)
+    }
+
+    /// Guided repair of the source toward the target (DESIGN.md §3 item 7).
+    /// No proposal grows past [`PreparedSynthesis::max_repair_chars`].
+    fn repair<R: Rng + ?Sized>(&self, rng: &mut R) -> String {
+        let _span = obs::span("text.repair");
+        obs::counter("text.repairs", 1);
+        let (tol, max_rounds) = (0.03, 300);
+        let (out, achieved, rounds) = perturb_toward_keys(
+            &self.source,
+            &self.source_keys,
+            self.target,
+            &self.syn.pool,
+            tol,
+            max_rounds,
+            self.max_repair_chars(),
+            rng,
+        );
+        obs::counter("text.repair_rounds", rounds as u64);
+        let unconverged = rounds == max_rounds && (achieved - self.target).abs() > tol;
+        obs::counter("text.repair_unconverged", u64::from(unconverged));
+        out
+    }
+
+    /// Repair's length bound: the decoder's own output limit, or the
+    /// source's length if longer. S2 draws its sources from the synthetic
+    /// tables, and repair lowers similarity mostly by appending pool tokens,
+    /// so without a bound lengths would compound from one S2 generation to
+    /// the next.
+    fn max_repair_chars(&self) -> usize {
+        self.syn.cfg.max_out.max(self.source.chars().count())
     }
 }
 
@@ -280,11 +341,15 @@ const MAX_PERSISTED_BUCKETS: usize = 4096;
 const MAX_PERSISTED_CANDIDATES: usize = 1024;
 
 impl Persist for BucketedSynthesizer {
+    // The version marks the sampling stream: weights and semantics are
+    // unchanged across versions, but same-seed outputs differ.
     // v2: candidate sampling moved to lockstep batched decoding with
     // per-candidate RNG lanes, which changes how the caller's RNG stream is
-    // consumed. Weights and semantics are unchanged, but same-seed outputs
-    // differ from v1, so the artifact version marks the sampling stream.
-    const MAGIC: &'static str = "serd-text-v2";
+    // consumed.
+    // v3: repair skips proposals longer than `max_repair_chars`. The same
+    // version brings the fit-time probe, which persists models S2 would
+    // never take a candidate from as absent.
+    const MAGIC: &'static str = "serd-text-v3";
 
     fn write_body(&self, w: &mut Writer) {
         // `cfg.arch` is a training-time template (a fn pointer) and is not
@@ -619,6 +684,87 @@ mod tests {
         assert!(
             BucketedSynthesizer::from_persist_str(&with(MAX_PERSISTED_CANDIDATES + 1)).is_err()
         );
+    }
+
+    #[test]
+    fn probe_drops_models_and_their_buckets_draw_no_lane_seeds() {
+        // The DP-trained tiny models emit character soup the gate rejects.
+        let mut rng = StdRng::seed_from_u64(10);
+        let syn =
+            BucketedSynthesizer::train(&corpus(), BucketedSynthesizerConfig::test_tiny(), &mut rng);
+        assert!(syn.models.iter().all(Option::is_none), "a DP-trained tiny model was kept");
+        assert!(syn.epsilon() > 0.0, "ε must still count the dropped models' training");
+        let text = syn.to_persist_string();
+        assert_eq!(text.matches("model absent").count(), 3);
+        assert!(!text.contains("serd-transformer-v1"), "dropped weights were persisted");
+        // With no model, S2's step is repair alone: the same output from the
+        // same draws, so the caller's stream is where repair leaves it.
+        let s = "adaptive query processing for modern systems";
+        for target in [0.1, 0.5, 0.9] {
+            let prepared = syn.prepare(s, target);
+            let (mut r1, mut r2) = (StdRng::seed_from_u64(5), StdRng::seed_from_u64(5));
+            let out = prepared.synthesize(&mut r1);
+            let max_chars = prepared.max_repair_chars();
+            let (want, _, _) = perturb_toward_keys(
+                s, &gram_keys(s), target, &syn.pool, 0.03, 300, max_chars, &mut r2,
+            );
+            assert_eq!(out, want, "target {target}");
+            assert_eq!(r1.gen::<u64>(), r2.gen::<u64>(), "lane seeds drawn at target {target}");
+        }
+    }
+
+    #[test]
+    fn probe_keeps_a_model_that_reproduces_its_training_strings() {
+        // One phrase, trained non-DP for many epochs: the low bucket's model
+        // learns its few training targets, which are pool tokens only.
+        let phrase = "golden dragon diner";
+        let cfg = BucketedSynthesizerConfig {
+            buckets: 2,
+            sigma: 0.0,
+            epochs: 80,
+            lr: 0.1,
+            max_pairs_per_bucket: 4,
+            temperature: 0.3,
+            ..BucketedSynthesizerConfig::test_tiny()
+        };
+        let mut rng = StdRng::seed_from_u64(11);
+        let syn = BucketedSynthesizer::train(&vec![phrase.to_string(); 8], cfg, &mut rng);
+        assert!(syn.models[0].is_some(), "a model that reproduces its targets was dropped");
+        let present = syn.to_persist_string().matches("model present").count();
+        assert_eq!(present, syn.models.iter().flatten().count());
+        // S2 returns that model's candidate: `synthesize` draws exactly the
+        // candidate step's lane seeds and no repair follows.
+        let prepared = syn.prepare(phrase, 0.25);
+        let (mut r1, mut r2) = (StdRng::seed_from_u64(3), StdRng::seed_from_u64(3));
+        let out = prepared.synthesize(&mut r1);
+        let candidate = prepared.candidate(&mut r2).expect("the kept model's candidate");
+        assert_eq!(out, candidate);
+        assert_eq!(r1.gen::<u64>(), r2.gen::<u64>());
+        assert!((qgram_jaccard(phrase, &out, 3) - 0.25).abs() <= syn.cfg.repair_tol, "{out:?}");
+    }
+
+    #[test]
+    fn chained_repairs_never_exceed_the_length_bound() {
+        // S2 draws its sources from its own output, and repair meets low
+        // targets mostly by appending pool tokens, so unbounded lengths
+        // compound along a chain. The unbounded chain shows the bound binds.
+        let mut rng = StdRng::seed_from_u64(12);
+        let syn =
+            BucketedSynthesizer::train(&corpus(), BucketedSynthesizerConfig::test_tiny(), &mut rng);
+        let start = "adaptive query processing".to_string();
+        let (mut bounded, mut unbounded) = (start.clone(), start);
+        let mut longest_unbounded = 0;
+        for generation in 0..30 {
+            let target = [0.05, 0.2, 0.35][generation % 3];
+            let bound = syn.cfg.max_out.max(bounded.chars().count());
+            bounded = syn.synthesize(&bounded, target, &mut rng);
+            let len = bounded.chars().count();
+            assert!(len <= bound, "generation {generation}: {len} chars > {bound}: {bounded:?}");
+            assert!(len <= syn.cfg.max_out, "generation {generation}: {bounded:?}");
+            unbounded = perturb_toward(&unbounded, target, &syn.pool, 0.03, 300, &mut rng).0;
+            longest_unbounded = longest_unbounded.max(unbounded.chars().count());
+        }
+        assert!(longest_unbounded > syn.cfg.max_out, "longest unbounded {longest_unbounded}");
     }
 
     #[test]

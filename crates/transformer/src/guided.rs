@@ -248,6 +248,15 @@ impl<'a> Edit<'a> {
     fn apply(self, tokens: &mut Vec<&'a str>) {
         tokens.splice(self.at..self.at + self.removed, self.inserted);
     }
+
+    /// Chars of the edited sequence joined with single spaces, given
+    /// `joined`, the chars of `tokens` joined that way. Edits never empty a
+    /// sequence, so each token counts its chars plus one separator.
+    fn joined_chars(self, tokens: &[&str], joined: usize) -> usize {
+        let width = |t: &str| t.chars().count() + 1;
+        let removed: usize = tokens[self.at..self.at + self.removed].iter().map(|t| width(t)).sum();
+        joined + self.inserted.map_or(0, width) - removed
+    }
 }
 
 /// Synthesizes `s'` from `s` with 3-gram Jaccard similarity close to
@@ -265,7 +274,9 @@ pub fn perturb_toward<'a, R: Rng + ?Sized>(
     max_rounds: usize,
     rng: &mut R,
 ) -> (String, f64) {
-    let (out, sim, _) = perturb_toward_keys(s, &gram_keys(s), target, pool, tol, max_rounds, rng);
+    let keys = gram_keys(s);
+    let (out, sim, _) =
+        perturb_toward_keys(s, &keys, target, pool, tol, max_rounds, usize::MAX, rng);
     (out, sim)
 }
 
@@ -274,6 +285,10 @@ pub fn perturb_toward<'a, R: Rng + ?Sized>(
 /// proposal is scored from its edit over the current tokens, written into
 /// one reused char buffer; only the winning edit of a round is applied.
 /// Every score is bit-equal to `qgram_jaccard(s, &candidate.join(" "), 3)`.
+///
+/// A proposal whose joined text would exceed `max_chars` chars is skipped
+/// after its draws, so the bound never changes how `rng` is consumed per
+/// proposal; `usize::MAX` leaves the search unbounded.
 pub(crate) fn perturb_toward_keys<'a, R: Rng + ?Sized>(
     s: &'a str,
     source: &[u64],
@@ -281,6 +296,7 @@ pub(crate) fn perturb_toward_keys<'a, R: Rng + ?Sized>(
     pool: &'a TokenPool,
     tol: f64,
     max_rounds: usize,
+    max_chars: usize,
     rng: &mut R,
 ) -> (String, f64, usize) {
     let target = target.clamp(0.0, 1.0);
@@ -291,6 +307,7 @@ pub(crate) fn perturb_toward_keys<'a, R: Rng + ?Sized>(
     }
     let mut scratch = GramScratch::default();
     let mut best_sim = jaccard_keys(source, scratch.load_joined(current.iter().copied()));
+    let mut joined = scratch.chars.len();
 
     // target == 1 means an exact copy is wanted.
     if target >= 1.0 - f64::EPSILON {
@@ -304,7 +321,7 @@ pub(crate) fn perturb_toward_keys<'a, R: Rng + ?Sized>(
             break;
         }
         rounds += 1;
-        let mut best_round: Option<(Edit, f64)> = None;
+        let mut best_round: Option<(Edit, f64, usize)> = None;
         for _ in 0..width {
             let need_lower = best_sim > target;
             let len = current.len();
@@ -326,19 +343,24 @@ pub(crate) fn perturb_toward_keys<'a, R: Rng + ?Sized>(
                 // Append a corpus token (lowers sim when already similar).
                 _ => Edit { at: len, removed: 0, inserted: Some(pool.sample(rng)) },
             };
+            let chars = edit.joined_chars(&current, joined);
+            if chars > max_chars {
+                continue;
+            }
             let sim = jaccard_keys(source, scratch.load_joined(edit.tokens(&current)));
             let dist = (sim - target).abs();
             if best_round
                 .as_ref()
-                .map_or(true, |(_, s2)| dist < (s2 - target).abs())
+                .map_or(true, |(_, s2, _)| dist < (s2 - target).abs())
             {
-                best_round = Some((edit, sim));
+                best_round = Some((edit, sim, chars));
             }
         }
-        if let Some((edit, sim)) = best_round {
+        if let Some((edit, sim, chars)) = best_round {
             if (sim - target).abs() < (best_sim - target).abs() {
                 edit.apply(&mut current);
                 best_sim = sim;
+                joined = chars;
             }
         }
     }

@@ -104,6 +104,35 @@ fn oversized_text_model_candidate_count_errors_instead_of_aborting() {
     );
 }
 
+// The O-mixture's `pi` line used to be clamped into [0, 1] before its range
+// was checked, so an artifact claiming π = +Inf or 2.0 loaded silently and
+// synthesized with π = 1.
+#[test]
+fn out_of_range_omixture_pi_errors_and_the_cli_exits_5() {
+    let text = artifact();
+    let line = text.lines().find(|l| l.starts_with("pi ")).expect("artifact embeds π");
+    let dir = std::env::temp_dir().join(format!("serd_persist_pi_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("model.serd");
+    for pi in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 1.5, -0.5] {
+        let mutated = text.replacen(line, &format!("pi {:016x}", pi.to_bits()), 1);
+        assert_ne!(mutated, text);
+        assert!(
+            matches!(SerdModel::from_persist_str(&mutated), Err(PersistError::Invalid { .. })),
+            "π = {pi} was accepted"
+        );
+        std::fs::write(&path, &mutated).unwrap();
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_serd-repro"))
+            .args(["synthesize", "--model", path.to_str().unwrap()])
+            .args(["--out", dir.to_str().unwrap()])
+            .output()
+            .expect("run binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(5), "π = {pi}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
