@@ -101,12 +101,23 @@ impl Gaussian {
 
     /// Draws a sample `mu + L z` with `z ~ N(0, I)`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
-        let z: Vec<f64> = (0..self.dim()).map(|_| standard_normal(rng)).collect();
-        let lz = self
-            .chol
-            .transform_standard_normal(&z)
-            .expect("dimension checked at construction");
-        self.mean.iter().zip(&lz).map(|(&m, &d)| m + d).collect()
+        let mut x = vec![0.0; self.dim()];
+        self.sample_into(rng, &mut x);
+        x
+    }
+
+    /// [`Gaussian::sample`] into `out`, of length [`Gaussian::dim`]: the same
+    /// draws and the same arithmetic, with nothing allocated.
+    pub(crate) fn sample_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
+        for z in out.iter_mut() {
+            *z = standard_normal(rng);
+        }
+        self.chol
+            .transform_standard_normal_into(out)
+            .expect("out has the component's dimension");
+        for (v, &m) in out.iter_mut().zip(&self.mean) {
+            *v = m + *v;
+        }
     }
 }
 

@@ -68,30 +68,30 @@ fn log_weights(weights: &[f64]) -> Vec<f64> {
 }
 
 /// Evaluates one mixture at many points without allocating per point: the
-/// log-weights are computed by the caller once, and the whitened difference
-/// and the per-component row are buffers reused from point to point. Every
-/// density in this module goes through it, so EM, AIC and the public
-/// queries share one arithmetic path.
-struct Evaluator<'m> {
+/// log-weights are computed once, when it is built, and the whitened
+/// difference and the per-component row are buffers reused from point to
+/// point. Every mixture density in this crate goes through it, so EM, AIC,
+/// the public queries and the JSD estimate share one arithmetic path.
+pub(crate) struct Evaluator<'m> {
     components: &'m [Gaussian],
-    log_w: &'m [f64],
+    log_w: Vec<f64>,
     diff: Vec<f64>,
     row: Vec<f64>,
 }
 
 impl<'m> Evaluator<'m> {
-    fn new(components: &'m [Gaussian], log_w: &'m [f64]) -> Self {
+    fn new(components: &'m [Gaussian], weights: &[f64]) -> Self {
         Evaluator {
             components,
-            log_w,
+            log_w: log_weights(weights),
             diff: vec![0.0; components.first().map_or(0, Gaussian::dim)],
             row: vec![0.0; components.len()],
         }
     }
 
     /// `log p(x)`; leaves `ln π_k + log N(x; μ_k, Σ_k)` in the row.
-    fn log_pdf(&mut self, x: &[f64]) -> f64 {
-        for ((l, c), &lw) in self.row.iter_mut().zip(self.components).zip(self.log_w) {
+    pub(crate) fn log_pdf(&mut self, x: &[f64]) -> f64 {
+        for ((l, c), &lw) in self.row.iter_mut().zip(self.components).zip(&self.log_w) {
             *l = lw + c.log_pdf_with(x, &mut self.diff);
         }
         log_sum_exp(&self.row)
@@ -118,13 +118,12 @@ fn e_step(
     weights: &[f64],
 ) -> (SuffStats, f64, (f64, usize)) {
     let (g, d) = (components.len(), points.d);
-    let log_w = log_weights(weights);
     // Zero-sized stand-ins for the rows: `par_chunk_map` cuts them every
     // EM_CHUNK rows, and a `Vec<()>` never allocates.
     let marks = vec![(); points.n];
     let partials = parallel::par_chunk_map(&marks, EM_CHUNK, |ci, chunk| {
         let base = ci * EM_CHUNK;
-        let mut eval = Evaluator::new(components, &log_w);
+        let mut eval = Evaluator::new(components, weights);
         let mut stats = SuffStats::zeros(g, d);
         let mut ll = 0.0;
         let mut worst: (f64, usize) = (f64::INFINITY, 0);
@@ -380,15 +379,14 @@ impl Gmm {
         })
     }
 
-    /// Runs `f` over an [`Evaluator`] of this mixture.
-    fn with_evaluator<T>(&self, f: impl FnOnce(&mut Evaluator<'_>) -> T) -> T {
-        let log_w = log_weights(&self.weights);
-        f(&mut Evaluator::new(&self.components, &log_w))
+    /// An [`Evaluator`] of this mixture, for evaluating it at many points.
+    pub(crate) fn evaluator(&self) -> Evaluator<'_> {
+        Evaluator::new(&self.components, &self.weights)
     }
 
     /// Log-density `log p(x)` under the mixture.
     pub fn log_pdf(&self, x: &[f64]) -> f64 {
-        self.with_evaluator(|eval| eval.log_pdf(x))
+        self.evaluator().log_pdf(x)
     }
 
     /// Density `p(x)`.
@@ -398,7 +396,7 @@ impl Gmm {
 
     /// Per-component responsibilities `γ_k(x)` (paper Eq. 5 / Eq. 8).
     pub fn responsibilities(&self, x: &[f64]) -> Vec<f64> {
-        self.with_evaluator(|eval| eval.responsibilities(x).1.to_vec())
+        self.evaluator().responsibilities(x).1.to_vec()
     }
 
     /// Total log-likelihood of a dataset (paper Eq. 4).
@@ -408,7 +406,8 @@ impl Gmm {
 
     /// `Σ log p(x)` over `xs`, in order.
     fn sum_log_pdf<'a>(&self, xs: impl Iterator<Item = &'a [f64]>) -> f64 {
-        self.with_evaluator(|eval| xs.map(|x| eval.log_pdf(x)).sum())
+        let mut eval = self.evaluator();
+        xs.map(|x| eval.log_pdf(x)).sum()
     }
 
     /// Number of free parameters: `g-1` weights + `g d` means + `g d(d+1)/2`
@@ -435,52 +434,67 @@ impl Gmm {
             - 2.0 * self.log_likelihood(data)
     }
 
-    /// Samples one vector from the mixture.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
+    /// Draws the component a sample comes from.
+    fn pick_component<R: Rng + ?Sized>(&self, rng: &mut R) -> &Gaussian {
         let mut u: f64 = rng.gen();
         for (k, &w) in self.weights.iter().enumerate() {
             if u < w || k == self.weights.len() - 1 {
-                return self.components[k].sample(rng);
+                return &self.components[k];
             }
             u -= w;
         }
         unreachable!("weights are normalized");
     }
 
+    /// Samples one vector from the mixture.
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
+        self.pick_component(rng).sample(rng)
+    }
+
     /// Samples one vector, clamped to the unit hypercube — similarity vectors
     /// live in `[0, 1]^l`, but a fitted Gaussian has unbounded support.
     pub fn sample_clamped<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
-        self.sample(rng)
-            .into_iter()
-            .map(|v| v.clamp(0.0, 1.0))
-            .collect()
+        let mut x = vec![0.0; self.dim()];
+        self.sample_clamped_into(rng, &mut x);
+        x
+    }
+
+    /// [`Gmm::sample_clamped`] into `out`, of length [`Gmm::dim`], with
+    /// nothing allocated.
+    pub(crate) fn sample_clamped_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
+        self.pick_component(rng).sample_into(rng, out);
+        for v in out.iter_mut() {
+            *v = v.clamp(0.0, 1.0);
+        }
     }
 
     /// Incrementally folds `new_points` into the mixture (paper Eq. 8–9):
     /// responsibilities of the new points are computed under the *current*
     /// parameters (Eq. 8), merged into the retained sufficient statistics,
     /// and the parameters re-derived (Eq. 9) — no pass over old points.
-    pub fn update_incremental(&mut self, new_points: &[Vec<f64>]) -> Result<()> {
+    ///
+    /// The points may be owned rows or borrowed slices, so callers that
+    /// select points out of a larger batch need not copy them.
+    pub fn update_incremental<P: AsRef<[f64]>>(&mut self, new_points: &[P]) -> Result<()> {
         if new_points.is_empty() {
             return Ok(());
         }
         let d = self.dim();
         for x in new_points {
-            if x.len() != d {
+            if x.as_ref().len() != d {
                 return Err(GmmError::DimensionMismatch {
                     expected: d,
-                    got: x.len(),
+                    got: x.as_ref().len(),
                 });
             }
         }
         let g = self.num_components();
-        let delta = self.with_evaluator(|eval| {
-            let mut delta = SuffStats::zeros(g, d);
-            for x in new_points {
-                delta.add_point(x, eval.responsibilities(x).1); // Eq. 8
-            }
-            delta
-        });
+        let mut delta = SuffStats::zeros(g, d);
+        let mut eval = self.evaluator();
+        for x in new_points {
+            let x = x.as_ref();
+            delta.add_point(x, eval.responsibilities(x).1); // Eq. 8
+        }
         self.stats.merge(&delta); // Eq. 9 accumulation
 
         for k in 0..g {
@@ -683,7 +697,7 @@ mod tests {
         let data = two_cluster_data(&mut rng, 50);
         let mut gmm = Gmm::fit(&data, 1, &GmmConfig::default(), &mut rng).unwrap();
         assert!(gmm.update_incremental(&[vec![0.0; 5]]).is_err());
-        assert!(gmm.update_incremental(&[]).is_ok());
+        assert!(gmm.update_incremental::<Vec<f64>>(&[]).is_ok());
     }
 
     #[test]

@@ -159,8 +159,10 @@ impl Cholesky {
         Ok(inv)
     }
 
-    /// Maps a standard-normal vector `z` to a sample displacement `L z`.
-    pub fn transform_standard_normal(&self, z: &[f64]) -> Result<Vec<f64>> {
+    /// Maps a standard-normal vector `z` to a sample displacement `L z`, in
+    /// place. Row `i` reads `z[..=i]` only, so rows are written last to
+    /// first, each summed over `k = 0..=i` in order.
+    pub fn transform_standard_normal_into(&self, z: &mut [f64]) -> Result<()> {
         let n = self.dim();
         if z.len() != n {
             return Err(LinalgError::DimensionMismatch {
@@ -169,15 +171,14 @@ impl Cholesky {
                 right: (z.len(), 1),
             });
         }
-        let mut out = vec![0.0; n];
-        for i in 0..n {
+        for i in (0..n).rev() {
             let mut sum = 0.0;
-            for k in 0..=i {
-                sum += self.l.get(i, k) * z[k];
+            for (&l, &zk) in self.l.row(i)[..=i].iter().zip(&z[..=i]) {
+                sum += l * zk;
             }
-            out[i] = sum;
+            z[i] = sum;
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -283,14 +284,30 @@ mod tests {
     fn transform_standard_normal_shape() {
         let a = spd3();
         let c = Cholesky::new(&a).unwrap();
-        let z = vec![1.0, 0.0, -1.0];
-        let x = c.transform_standard_normal(&z).unwrap();
-        assert_eq!(x.len(), 3);
         // L z with z = e1 equals first column of L.
-        let e1 = vec![1.0, 0.0, 0.0];
-        let col = c.transform_standard_normal(&e1).unwrap();
+        let mut col = vec![1.0, 0.0, 0.0];
+        c.transform_standard_normal_into(&mut col).unwrap();
         for i in 0..3 {
             assert!((col[i] - c.l().get(i, 0)).abs() < 1e-14);
         }
+    }
+
+    #[test]
+    #[allow(clippy::needless_range_loop)] // the indexed loop is the reference
+    fn in_place_transform_matches_the_textbook_loop_bit_for_bit() {
+        let c = Cholesky::new(&spd3()).unwrap();
+        let z = vec![0.7, -1.3, 2.1];
+        let mut expected = vec![0.0; 3];
+        for i in 0..3 {
+            let mut sum = 0.0;
+            for k in 0..=i {
+                sum += c.l().get(i, k) * z[k];
+            }
+            expected[i] = sum;
+        }
+        let mut got = z.clone();
+        c.transform_standard_normal_into(&mut got).unwrap();
+        assert!(got.iter().zip(&expected).all(|(a, e)| a.to_bits() == e.to_bits()));
+        assert!(c.transform_standard_normal_into(&mut [1.0, 2.0]).is_err());
     }
 }

@@ -33,6 +33,11 @@ pub struct SynthesisStats {
     pub rejected_distribution: usize,
     /// Entities accepted after exhausting retries.
     pub forced_accepts: usize,
+    /// Candidates Case 2 accepted untested because `O_syn` was still in
+    /// warm-up. Warm-up ends only once two or more committed vectors on
+    /// each side of `O_real`'s posterior have been buffered, so a run can
+    /// stay in warm-up, with Case 2 off, to its end.
+    pub warmup_accepts: usize,
     /// Matching pairs created during S2.
     pub s2_matches: usize,
     /// Matching pairs added by S3 posterior labeling.
@@ -382,8 +387,9 @@ impl SerdSynthesizer {
             let source_table = if e_in_a { &a } else { &b };
             let source_profs = if e_in_a { &aprofs } else { &bprofs };
             // Everything about (e, x, side) that doesn't consume randomness
-            // — bucket-model selection, source encoding, encoder memory for
-            // text columns — is prepared once and shared by every attempt.
+            // — categorical choices, and for text columns bucket-model
+            // selection, source encoding and encoder memory — is prepared
+            // once and shared by every attempt.
             let prepared = model.columns.prepare_entity(&e, &x, target_side);
             let mut chosen: Option<(Entity, RecordProfile, Vec<Vec<f64>>)> = None;
             for _attempt in 0..online.max_retries {
@@ -426,6 +432,9 @@ impl SerdSynthesizer {
                 {
                     stats.rejected_distribution += 1;
                     continue;
+                }
+                if online.reject_by_distribution && !osyn.is_active() {
+                    stats.warmup_accepts += 1;
                 }
                 chosen = Some((candidate, cand_prof, delta));
                 break;
@@ -515,6 +524,10 @@ impl SerdSynthesizer {
             obs::counter("rejected.discriminator", stats.rejected_discriminator as u64);
             obs::counter("rejected.distribution", stats.rejected_distribution as u64);
             obs::counter("forced_accepts", stats.forced_accepts as u64);
+            // Case 2 tests nothing until O_syn is fitted; a run that never
+            // leaves warm-up shows 0 here and accepts every candidate.
+            obs::counter("rejection.warmup_accepts", stats.warmup_accepts as u64);
+            obs::gauge("rejection.osyn_fitted", f64::from(u8::from(osyn.is_active())));
             obs::counter("matches.s2", stats.s2_matches as u64);
             obs::counter("matches.s3", stats.s3_matches as u64);
             let attempts = stats.accepted
@@ -704,6 +717,28 @@ mod tests {
         assert!(out.stats.accepted > 0);
         assert!(out.stats.accepted >= out.er.a().len() + out.er.b().len());
         assert!(out.stats.s2_matches + out.stats.s3_matches == out.er.num_matches());
+    }
+
+    #[test]
+    fn warmup_accepts_count_what_case_2_let_through_untested() {
+        let (syn, _) = fit_fast(DatasetKind::Restaurant, 0.03, 7);
+        // A warm-up that cannot end: every candidate that passes Case 1 is
+        // accepted untested, and only those, so apart from the bootstrap
+        // entity every accept is a warm-up accept or a forced one.
+        let mut plan = syn.plan();
+        plan.online.osyn_warmup = usize::MAX;
+        let out = syn.synthesize_with(&plan, &mut StdRng::seed_from_u64(8)).unwrap();
+        let st = &out.stats;
+        assert_eq!(st.rejected_distribution, 0);
+        assert!(st.warmup_accepts > 0);
+        assert_eq!(1 + st.warmup_accepts + st.forced_accepts, st.accepted);
+        // A warm-up that ends counts only the accepts before it did; later
+        // candidates passed the test itself.
+        let out = syn.synthesize(&mut StdRng::seed_from_u64(8)).unwrap();
+        let st = &out.stats;
+        assert!(st.rejected_distribution > 0, "Case 2 never ran");
+        assert!(st.warmup_accepts > 0);
+        assert!(1 + st.warmup_accepts + st.forced_accepts < st.accepted);
     }
 
     #[test]

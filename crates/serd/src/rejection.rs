@@ -56,9 +56,9 @@ impl OSynState {
 
     /// Commits a batch of vectors labeled by `o_real`'s posterior (Eq. 7).
     ///
-    /// During warm-up, vectors are buffered; once the target is reached the
-    /// mixtures are fitted from the buffer. After warm-up, vectors flow
-    /// through the incremental update.
+    /// During warm-up, vectors are copied into a buffer; once the target is
+    /// reached the mixtures are fitted from it. After warm-up, vectors flow
+    /// through the incremental update without being copied.
     pub fn commit<R: Rng + ?Sized>(
         &mut self,
         vectors: &[Vec<f64>],
@@ -72,8 +72,8 @@ impl OSynState {
         self.n_neg += neg.len();
         match &mut self.mixture {
             None => {
-                self.warmup_pos.extend(pos);
-                self.warmup_neg.extend(neg);
+                self.warmup_pos.extend(pos.iter().map(|v| v.to_vec()));
+                self.warmup_neg.extend(neg.iter().map(|v| v.to_vec()));
                 if self.warmup_pos.len() + self.warmup_neg.len() >= self.warmup_target
                     && self.warmup_pos.len() >= 2
                     && self.warmup_neg.len() >= 2
@@ -132,18 +132,18 @@ impl OSynState {
 }
 
 /// Splits vectors into (matching, non-matching) by `o_real`'s posterior rule
-/// `P_m(x) ≥ P_n(x)` (paper Eq. 7).
-fn split_by_posterior(
-    vectors: &[Vec<f64>],
+/// `P_m(x) ≥ P_n(x)` (paper Eq. 7), borrowing the rows.
+fn split_by_posterior<'v>(
+    vectors: &'v [Vec<f64>],
     o_real: &OMixture,
-) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+) -> (Vec<&'v [f64]>, Vec<&'v [f64]>) {
     let mut pos = Vec::new();
     let mut neg = Vec::new();
     for v in vectors {
         if o_real.is_match(v) {
-            pos.push(v.clone());
+            pos.push(v.as_slice());
         } else {
-            neg.push(v.clone());
+            neg.push(v.as_slice());
         }
     }
     (pos, neg)
@@ -190,6 +190,25 @@ mod tests {
         // Even wildly off-distribution deltas pass while warming up.
         let delta = vec![vec![0.5, 0.5]; 10];
         assert!(!state.would_reject(&delta, &o, 1.0, 50, &mut rng));
+    }
+
+    #[test]
+    fn a_tracker_fed_only_non_matches_never_fits_and_accepts_everything() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let o = o_real(&mut rng);
+        let mut state = OSynState::new(20);
+        let gn = Gaussian::isotropic(vec![0.15, 0.15], 0.004).unwrap();
+        // Far past the warm-up target, but no vector is labeled matching.
+        for _ in 0..6 {
+            let batch: Vec<Vec<f64>> = (0..20).map(|_| gn.sample(&mut rng)).collect();
+            assert!(batch.iter().all(|v| !o.is_match(v)));
+            state.commit(&batch, &o, &GmmConfig::default(), 50, &mut rng).unwrap();
+        }
+        assert!(!state.is_active());
+        // Case 2 is off: even a far-off batch is accepted (S2 counts these
+        // accepts as `SynthesisStats::warmup_accepts`).
+        let drift = vec![vec![0.5, 0.5]; 20];
+        assert!(!state.would_reject(&drift, &o, 1.0, 50, &mut rng));
     }
 
     #[test]

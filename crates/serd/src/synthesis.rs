@@ -93,20 +93,29 @@ impl ColumnSynthesizer {
         self.prepare_entity(e, x, side).synthesize(rng)
     }
 
-    /// Hoists the per-`(e, x)` work of text columns — bucket-model selection,
-    /// source encoding, encoder memory — out of the sampling loop.
+    /// Hoists the per-`(e, x, side)` work out of the sampling loop: each
+    /// categorical column's choice, which draws no randomness, and for text
+    /// columns bucket-model selection, source encoding and encoder memory.
     pub fn prepare_entity<'a>(&'a self, e: &'a Entity, x: &'a [f64], side: Side) -> PreparedEntity<'a> {
         debug_assert_eq!(x.len(), self.schema.len());
         let mut text = HashMap::new();
+        let mut categorical = HashMap::new();
         for (i, col) in self.schema.columns().iter().enumerate() {
-            if col.ctype == ColumnType::Text {
-                if let Some(model) = self.text_models.get(&i) {
-                    let base = e.value(i).as_str().unwrap_or("");
-                    text.insert(i, model.prepare(base, x[i].clamp(0.0, 1.0)));
+            let target = x[i].clamp(0.0, 1.0);
+            match col.ctype {
+                ColumnType::Text => {
+                    if let Some(model) = self.text_models.get(&i) {
+                        let base = e.value(i).as_str().unwrap_or("");
+                        text.insert(i, model.prepare(base, target));
+                    }
                 }
+                ColumnType::Categorical => {
+                    categorical.insert(i, self.synth_categorical(i, e.value(i), target, col, side));
+                }
+                ColumnType::Numeric | ColumnType::Date => {}
             }
         }
-        PreparedEntity { syn: self, e, x, side, text }
+        PreparedEntity { syn: self, e, x, text, categorical }
     }
 
     fn synth_numeric<R: Rng + ?Sized>(
@@ -177,18 +186,19 @@ impl ColumnSynthesizer {
             _ => return v.clone(),
         };
         let base = Value::Categorical(v.as_str().unwrap_or("").to_string());
-        let best = domain
-            .iter()
-            .min_by(|a, b| {
-                let da = (column.similarity(&base, &Value::Categorical((*a).clone())) - target)
-                    .abs();
-                let db = (column.similarity(&base, &Value::Categorical((*b).clone())) - target)
-                    .abs();
-                da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .cloned()
-            .unwrap_or_default();
-        Value::Categorical(best)
+        // Each value is scored once. A later value wins only when the best
+        // distance so far is strictly greater, which is `Iterator::min_by`'s
+        // rule over `partial_cmp`: the first minimum wins, and a NaN
+        // distance, which compares as equal, never displaces or is chosen
+        // over an earlier value.
+        let mut best: Option<(&String, f64)> = None;
+        for value in domain {
+            let d = (column.similarity(&base, &Value::Categorical(value.clone())) - target).abs();
+            if best.is_none_or(|(_, best_d)| best_d > d) {
+                best = Some((value, d));
+            }
+        }
+        Value::Categorical(best.map(|(value, _)| value.clone()).unwrap_or_default())
     }
 
     fn round_if_integral(&self, col: usize, v: f64) -> f64 {
@@ -208,9 +218,10 @@ pub struct PreparedEntity<'a> {
     syn: &'a ColumnSynthesizer,
     e: &'a Entity,
     x: &'a [f64],
-    side: Side,
     /// Prepared text synthesis per text column that has a bucket model.
     text: HashMap<usize, transformer::PreparedSynthesis<'a>>,
+    /// The chosen value of each categorical column.
+    categorical: HashMap<usize, Value>,
 }
 
 impl PreparedEntity<'_> {
@@ -230,9 +241,7 @@ impl PreparedEntity<'_> {
                         syn.synth_numeric(i, self.e.value(i), target, col.range, rng)
                     }
                     ColumnType::Date => syn.synth_date(i, self.e.value(i), target, col.range, rng),
-                    ColumnType::Categorical => {
-                        syn.synth_categorical(i, self.e.value(i), target, col, self.side)
-                    }
+                    ColumnType::Categorical => self.categorical[&i].clone(),
                     ColumnType::Text => match self.text.get(&i) {
                         Some(prep) => Value::Text(prep.synthesize(rng)),
                         None => Value::Text(self.e.value(i).as_str().unwrap_or("").to_string()),
@@ -507,6 +516,59 @@ mod tests {
         let out = s.synthesize_entity(&e, &[1.0, 0.0, 1.0, 1.0], Side::A, &mut rng);
         // VLDB shares no 3-grams with "SIGMOD Conference" -> sim 0 exactly.
         assert_eq!(out.value(1).as_str(), Some("VLDB"));
+    }
+
+    /// The categorical choice as it was written before it moved into
+    /// `prepare_entity`: `min_by`, rescoring both values per comparison.
+    fn categorical_reference(domain: &[String], column: &Column, v: &Value, target: f64) -> Value {
+        let base = Value::Categorical(v.as_str().unwrap_or("").to_string());
+        let best = domain
+            .iter()
+            .min_by(|a, b| {
+                let da = (column.similarity(&base, &Value::Categorical((*a).clone())) - target)
+                    .abs();
+                let db = (column.similarity(&base, &Value::Categorical((*b).clone())) - target)
+                    .abs();
+                da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
+            })
+            .cloned()
+            .unwrap_or_default();
+        Value::Categorical(best)
+    }
+
+    #[test]
+    fn categorical_choice_matches_the_min_by_reference() {
+        let s = synthesizer(false);
+        let column = &s.schema().columns()[1];
+        let sources = [
+            Value::Categorical("SIGMOD Conference".into()),
+            Value::Categorical("Conference on Data".into()),
+            Value::Categorical("VLDB".into()),
+            Value::Categorical("zzz".into()),
+            Value::Null,
+        ];
+        let mut rng = StdRng::seed_from_u64(9);
+        for (side, domain) in [(Side::A, &s.domains_a[&1]), (Side::B, &s.domains_b[&1])] {
+            for v in &sources {
+                let e = Entity::new(vec![
+                    Value::Text("t".into()),
+                    v.clone(),
+                    Value::Numeric(2000.0),
+                    Value::Date(500),
+                ]);
+                // NaN scores every value NaN: no comparison orders them.
+                for target in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0, f64::NAN] {
+                    let got = s.prepare_entity(&e, &[1.0, target, 1.0, 1.0], side).synthesize(&mut rng);
+                    let want = categorical_reference(domain, column, v, target);
+                    assert_eq!(got.value(1), &want, "{side:?} {v:?} target {target}");
+                }
+            }
+        }
+        // "zzz" shares no 3-gram with any value: every distance ties, and the
+        // first value of the domain wins.
+        let zzz = Value::Categorical("zzz".into());
+        let first = Value::Categorical(s.domains_a[&1][0].clone());
+        assert_eq!(categorical_reference(&s.domains_a[&1], column, &zzz, 0.3), first);
     }
 
     #[test]

@@ -103,7 +103,11 @@ fn json_run_report_covers_every_stage_and_recording_is_inert() {
         "text.gate_rejected",   // candidates the plausibility gate discarded
         "text.repairs",         // text values produced by guided repair
         "text.repair_rounds",   // search rounds those repairs ran
-        "text.repair_unconverged", // repairs that ran out of rounds
+        "text.repair_unconverged", // repairs that ended outside the tolerance
+        "text.repair_stalled",  // repairs the stall rule ended
+        "text.repair_miss",     // |achieved - target| per repair
+        "rejection.warmup_accepts", // candidates accepted before O_syn was fitted
+        "rejection.osyn_fitted",    // whether O_syn left warm-up (0/1)
     ] {
         assert!(report.contains(metric), "missing metric {metric} in report:\n{report}");
     }

@@ -3,7 +3,8 @@
 
 use crate::decode::EncodedSource;
 use crate::guided::{
-    gram_keys, jaccard_keys, perturb_toward, perturb_toward_keys, GramScratch, TokenPool,
+    gram_keys, jaccard_keys, perturb_toward, perturb_toward_keys, GramScratch, SearchLimits,
+    TokenPool,
 };
 use crate::model::{Seq2SeqTransformer, TransformerConfig};
 use crate::vocab::CharVocab;
@@ -80,9 +81,23 @@ impl BucketedSynthesizerConfig {
 /// candidate step (see [`BucketedSynthesizer::train`]).
 const PROBE_SOURCES: usize = 4;
 
+/// Probe sources that must return a candidate for a bucket model to be kept.
+const PROBE_MIN_HITS: usize = 2;
+
 /// Seed of the probe's RNG, mixed with the bucket index: the probe draws
 /// nothing from the fit RNG, so it leaves every other fitted byte as is.
 const PROBE_SEED: u64 = 0x5e4d_0b5e_7a11_0000;
+
+/// The probe's verdict on one model from its per-source hits, in probe
+/// order: kept iff at least [`PROBE_MIN_HITS`] of them hit. Reads no further
+/// than the deciding hit.
+fn probe_keeps(hits: impl IntoIterator<Item = bool>) -> bool {
+    hits.into_iter().filter(|&hit| hit).take(PROBE_MIN_HITS).count() == PROBE_MIN_HITS
+}
+
+/// Consecutive rounds without a strict improvement after which S2's repair
+/// stops (DESIGN.md §3 item 7). Training-pair seeding keeps searching.
+const STALL_ROUNDS: usize = 32;
 
 /// The trained family of per-bucket transformers for one textual column.
 pub struct BucketedSynthesizer {
@@ -105,10 +120,11 @@ impl BucketedSynthesizer {
     ///
     /// Each trained model is then probed: S2's candidate step runs on the
     /// bucket's first [`PROBE_SOURCES`] training pairs `(s, t)` at target
-    /// `jaccard(s, t)`. A model none of whose probes yields a candidate S2
-    /// would return is dropped (persisted as `model absent`), so S2 goes
-    /// straight to repair for its bucket instead of decoding candidates it
-    /// never uses. ε still counts the dropped models' training.
+    /// `jaccard(s, t)`. A model for which fewer than [`PROBE_MIN_HITS`]
+    /// probes yield a candidate S2 would return is dropped (persisted as
+    /// `model absent`), so S2 goes straight to repair for its bucket instead
+    /// of decoding candidates it almost never uses. ε still counts the
+    /// dropped models' training.
     pub fn train<R: Rng + ?Sized>(
         background: &[String],
         cfg: BucketedSynthesizerConfig,
@@ -138,7 +154,7 @@ impl BucketedSynthesizer {
     }
 
     /// The fit-time probe of [`BucketedSynthesizer::train`]: drops every
-    /// bucket model that returns no candidate on its probe sources.
+    /// bucket model that returns too few candidates on its probe sources.
     fn drop_unused_models(&mut self, buckets: &[Vec<(String, String)>]) {
         let _span = obs::span("transformer.probe");
         let (mut kept, mut dropped) = (0u64, 0u64);
@@ -158,17 +174,18 @@ impl BucketedSynthesizer {
     }
 
     /// Whether S2's candidate step returns a candidate from bucket `b`'s
-    /// model for any of its first [`PROBE_SOURCES`] training pairs.
+    /// model for enough of its first [`PROBE_SOURCES`] training pairs
+    /// ([`probe_keeps`]).
     fn probe(&self, b: usize, pairs: &[(String, String)]) -> bool {
         let mut rng = StdRng::seed_from_u64(PROBE_SEED ^ b as u64);
-        pairs.iter().take(PROBE_SOURCES).any(|(s, t)| {
+        probe_keeps(pairs.iter().take(PROBE_SOURCES).map(|(s, t)| {
             // A pair lands in the bucket of this score, so `prepare` picks
             // model `b` (or an exact copy, which uses no model).
             let target = jaccard_keys(&gram_keys(s), &gram_keys(t));
             let prepared = self.prepare(s, target);
             debug_assert!(prepared.exact || self.bucket_of(target) == b);
             prepared.candidate(&mut rng).is_some()
-        })
+        }))
     }
 
     /// Index of the bucket containing `sim`.
@@ -301,26 +318,39 @@ impl PreparedSynthesis<'_> {
             .map(|(out, _)| out)
     }
 
-    /// Guided repair of the source toward the target (DESIGN.md §3 item 7).
-    /// No proposal grows past [`PreparedSynthesis::max_repair_chars`].
+    /// Guided repair of the source toward the target (DESIGN.md §3 item 7),
+    /// under [`PreparedSynthesis::repair_limits`].
     fn repair<R: Rng + ?Sized>(&self, rng: &mut R) -> String {
         let _span = obs::span("text.repair");
         obs::counter("text.repairs", 1);
-        let (tol, max_rounds) = (0.03, 300);
-        let (out, achieved, rounds) = perturb_toward_keys(
+        let limits = self.repair_limits();
+        let search = perturb_toward_keys(
             &self.source,
             &self.source_keys,
             self.target,
             &self.syn.pool,
-            tol,
-            max_rounds,
-            self.max_repair_chars(),
+            limits,
             rng,
         );
-        obs::counter("text.repair_rounds", rounds as u64);
-        let unconverged = rounds == max_rounds && (achieved - self.target).abs() > tol;
+        obs::counter("text.repair_rounds", search.rounds as u64);
+        let miss = (search.sim - self.target).abs();
+        obs::hist("text.repair_miss", miss);
+        let unconverged = miss > limits.tol;
         obs::counter("text.repair_unconverged", u64::from(unconverged));
-        out
+        obs::counter("text.repair_stalled", u64::from(search.stalled));
+        search.text
+    }
+
+    /// Repair stops within 0.03 of the target, after 300 rounds, or after
+    /// [`STALL_ROUNDS`] rounds in a row without improving, and no proposal
+    /// grows past [`PreparedSynthesis::max_repair_chars`].
+    fn repair_limits(&self) -> SearchLimits {
+        SearchLimits {
+            tol: 0.03,
+            max_rounds: 300,
+            max_chars: self.max_repair_chars(),
+            stall_rounds: STALL_ROUNDS,
+        }
     }
 
     /// Repair's length bound: the decoder's own output limit, or the
@@ -349,7 +379,9 @@ impl Persist for BucketedSynthesizer {
     // v3: repair skips proposals longer than `max_repair_chars`. The same
     // version brings the fit-time probe, which persists models S2 would
     // never take a candidate from as absent.
-    const MAGIC: &'static str = "serd-text-v3";
+    // v4: repair stops after `STALL_ROUNDS` rounds without improving, which
+    // leaves the caller's RNG where the shorter search left it.
+    const MAGIC: &'static str = "serd-text-v4";
 
     fn write_body(&self, w: &mut Writer) {
         // `cfg.arch` is a training-time template (a fn pointer) and is not
@@ -704,11 +736,9 @@ mod tests {
             let prepared = syn.prepare(s, target);
             let (mut r1, mut r2) = (StdRng::seed_from_u64(5), StdRng::seed_from_u64(5));
             let out = prepared.synthesize(&mut r1);
-            let max_chars = prepared.max_repair_chars();
-            let (want, _, _) = perturb_toward_keys(
-                s, &gram_keys(s), target, &syn.pool, 0.03, 300, max_chars, &mut r2,
-            );
-            assert_eq!(out, want, "target {target}");
+            let limits = prepared.repair_limits();
+            let want = perturb_toward_keys(s, &gram_keys(s), target, &syn.pool, limits, &mut r2);
+            assert_eq!(out, want.text, "target {target}");
             assert_eq!(r1.gen::<u64>(), r2.gen::<u64>(), "lane seeds drawn at target {target}");
         }
     }
@@ -744,13 +774,62 @@ mod tests {
     }
 
     #[test]
+    fn probe_keeps_a_model_on_two_hits_of_four() {
+        // `n` hits, placed last so an early-stopping rule would miss them.
+        let hits = |n: usize| (0..PROBE_SOURCES).map(move |k| k >= PROBE_SOURCES - n);
+        assert!(!probe_keeps(hits(0)));
+        assert!(!probe_keeps(hits(1)));
+        assert!(probe_keeps(hits(2)));
+        assert!(probe_keeps(hits(4)));
+        // The verdict reads no probe past its deciding hit.
+        let mut read = 0;
+        assert!(probe_keeps(hits(4).inspect(|_| read += 1)));
+        assert_eq!(read, PROBE_MIN_HITS);
+    }
+
+    #[test]
+    fn stalled_repair_ends_after_stall_rounds_and_returns_the_source() {
+        // "ab" is one padded gram key, so every proposal scores 0 against
+        // it (no pool token is "ab"): none moves the similarity from 1
+        // toward 0.5, and the search can only stall.
+        let mut rng = StdRng::seed_from_u64(13);
+        let syn =
+            BucketedSynthesizer::train(&corpus(), BucketedSynthesizerConfig::test_tiny(), &mut rng);
+        let (s, target) = ("ab", 0.5);
+        let prepared = syn.prepare(s, target);
+        let limits = prepared.repair_limits();
+        let stalled = perturb_toward_keys(s, &gram_keys(s), target, &syn.pool, limits, &mut rng);
+        assert_eq!(stalled.text, s);
+        assert!(stalled.stalled);
+        assert_eq!(stalled.rounds, STALL_ROUNDS);
+        // S2's step for this bucket is that repair.
+        assert_eq!(prepared.synthesize(&mut rng), s);
+        // Without the stall rule, as training-pair seeding searches, it runs
+        // every round to the same string.
+        let unbounded = SearchLimits { stall_rounds: usize::MAX, ..limits };
+        let full = perturb_toward_keys(s, &gram_keys(s), target, &syn.pool, unbounded, &mut rng);
+        assert_eq!((full.text.as_str(), full.rounds, full.stalled), (s, limits.max_rounds, false));
+        // The rule counts rounds since the last improvement, not in total:
+        // this search improves often enough to run 72 rounds to an exact hit.
+        let (s, target) = ("adaptive query processing for modern systems", 0.6);
+        let exact = SearchLimits { tol: 0.0, ..syn.prepare(s, target).repair_limits() };
+        let mut rng = StdRng::seed_from_u64(8);
+        let long = perturb_toward_keys(s, &gram_keys(s), target, &syn.pool, exact, &mut rng);
+        assert!(long.rounds > 2 * STALL_ROUNDS && !long.stalled, "{long:?}");
+        assert_eq!(long.sim, target);
+    }
+
+    #[test]
     fn chained_repairs_never_exceed_the_length_bound() {
         // S2 draws its sources from its own output, and repair meets low
         // targets mostly by appending pool tokens, so unbounded lengths
-        // compound along a chain. The unbounded chain shows the bound binds.
+        // compound along a chain. The unbounded chain shows the bound binds;
+        // it draws from its own stream, so how many draws the bounded
+        // chain's repairs take cannot decide whether it does.
         let mut rng = StdRng::seed_from_u64(12);
         let syn =
             BucketedSynthesizer::train(&corpus(), BucketedSynthesizerConfig::test_tiny(), &mut rng);
+        let mut unbounded_rng = rng.clone();
         let start = "adaptive query processing".to_string();
         let (mut bounded, mut unbounded) = (start.clone(), start);
         let mut longest_unbounded = 0;
@@ -761,7 +840,8 @@ mod tests {
             let len = bounded.chars().count();
             assert!(len <= bound, "generation {generation}: {len} chars > {bound}: {bounded:?}");
             assert!(len <= syn.cfg.max_out, "generation {generation}: {bounded:?}");
-            unbounded = perturb_toward(&unbounded, target, &syn.pool, 0.03, 300, &mut rng).0;
+            unbounded =
+                perturb_toward(&unbounded, target, &syn.pool, 0.03, 300, &mut unbounded_rng).0;
             longest_unbounded = longest_unbounded.max(unbounded.chars().count());
         }
         assert!(longest_unbounded > syn.cfg.max_out, "longest unbounded {longest_unbounded}");

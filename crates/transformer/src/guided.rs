@@ -274,31 +274,57 @@ pub fn perturb_toward<'a, R: Rng + ?Sized>(
     max_rounds: usize,
     rng: &mut R,
 ) -> (String, f64) {
-    let keys = gram_keys(s);
-    let (out, sim, _) =
-        perturb_toward_keys(s, &keys, target, pool, tol, max_rounds, usize::MAX, rng);
-    (out, sim)
+    let limits = SearchLimits { tol, max_rounds, max_chars: usize::MAX, stall_rounds: usize::MAX };
+    let search = perturb_toward_keys(s, &gram_keys(s), target, pool, limits, rng);
+    (search.text, search.sim)
+}
+
+/// When a guided search stops.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SearchLimits {
+    /// Stop once the similarity is within `tol` of the target.
+    pub tol: f64,
+    /// Stop after this many rounds.
+    pub max_rounds: usize,
+    /// Skip a proposal whose joined text would exceed this many chars
+    /// (`usize::MAX`: no bound).
+    pub max_chars: usize,
+    /// Stop after this many consecutive rounds without a strict improvement
+    /// (`usize::MAX`: never).
+    pub stall_rounds: usize,
+}
+
+/// The outcome of [`perturb_toward_keys`].
+#[derive(Debug)]
+pub(crate) struct Search {
+    /// The best string found.
+    pub text: String,
+    /// Its similarity to the source.
+    pub sim: f64,
+    /// Rounds run.
+    pub rounds: usize,
+    /// Whether [`SearchLimits::stall_rounds`] ended the search.
+    pub stalled: bool,
 }
 
 /// [`perturb_toward`] against `source`, the [`gram_keys`] of `s`, built once
-/// by the caller, also returning the number of search rounds it ran. Each
-/// proposal is scored from its edit over the current tokens, written into
-/// one reused char buffer; only the winning edit of a round is applied.
-/// Every score is bit-equal to `qgram_jaccard(s, &candidate.join(" "), 3)`.
+/// by the caller, under `limits`. Each proposal is scored from its edit over
+/// the current tokens, written into one reused char buffer; only the winning
+/// edit of a round is applied, and only if it strictly improves. Every score
+/// is bit-equal to `qgram_jaccard(s, &candidate.join(" "), 3)`.
 ///
-/// A proposal whose joined text would exceed `max_chars` chars is skipped
-/// after its draws, so the bound never changes how `rng` is consumed per
-/// proposal; `usize::MAX` leaves the search unbounded.
+/// A proposal longer than `limits.max_chars` is skipped after its draws, so
+/// the bound never changes how `rng` is consumed per proposal. A search that
+/// goes `limits.stall_rounds` rounds in a row without improving stops there:
+/// the current string is already the best it found.
 pub(crate) fn perturb_toward_keys<'a, R: Rng + ?Sized>(
     s: &'a str,
     source: &[u64],
     target: f64,
     pool: &'a TokenPool,
-    tol: f64,
-    max_rounds: usize,
-    max_chars: usize,
+    limits: SearchLimits,
     rng: &mut R,
-) -> (String, f64, usize) {
+) -> Search {
     let target = target.clamp(0.0, 1.0);
     // Case- and punctuation-preserving tokens of the source string.
     let mut current: Vec<&str> = s.split_whitespace().collect();
@@ -311,16 +337,20 @@ pub(crate) fn perturb_toward_keys<'a, R: Rng + ?Sized>(
 
     // target == 1 means an exact copy is wanted.
     if target >= 1.0 - f64::EPSILON {
-        return (s.to_string(), 1.0, 0);
+        return Search { text: s.to_string(), sim: 1.0, rounds: 0, stalled: false };
     }
 
     let width = 8;
-    let mut rounds = 0;
-    for _ in 0..max_rounds {
-        if (best_sim - target).abs() <= tol {
+    let (mut rounds, mut since_improved) = (0, 0);
+    for _ in 0..limits.max_rounds {
+        if (best_sim - target).abs() <= limits.tol {
             break;
         }
+        if since_improved == limits.stall_rounds {
+            return Search { text: current.join(" "), sim: best_sim, rounds, stalled: true };
+        }
         rounds += 1;
+        since_improved += 1;
         let mut best_round: Option<(Edit, f64, usize)> = None;
         for _ in 0..width {
             let need_lower = best_sim > target;
@@ -344,7 +374,7 @@ pub(crate) fn perturb_toward_keys<'a, R: Rng + ?Sized>(
                 _ => Edit { at: len, removed: 0, inserted: Some(pool.sample(rng)) },
             };
             let chars = edit.joined_chars(&current, joined);
-            if chars > max_chars {
+            if chars > limits.max_chars {
                 continue;
             }
             let sim = jaccard_keys(source, scratch.load_joined(edit.tokens(&current)));
@@ -361,10 +391,11 @@ pub(crate) fn perturb_toward_keys<'a, R: Rng + ?Sized>(
                 edit.apply(&mut current);
                 best_sim = sim;
                 joined = chars;
+                since_improved = 0;
             }
         }
     }
-    (current.join(" "), best_sim, rounds)
+    Search { text: current.join(" "), sim: best_sim, rounds, stalled: false }
 }
 
 #[cfg(test)]
