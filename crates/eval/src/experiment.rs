@@ -15,7 +15,10 @@ pub fn labeled_vectors<R: Rng>(
     rng: &mut R,
 ) -> LabeledVectors {
     let mut data = LabeledVectors::default();
-    for &(i, j) in er.matches() {
+    // Sorted: the match set's hash order varies from run to run.
+    let mut matches: Vec<(usize, usize)> = er.matches().iter().copied().collect();
+    matches.sort_unstable();
+    for (i, j) in matches {
         data.push(er.similarity_vector(i, j), true);
     }
     let n_neg = er.num_matches().max(1) * neg_ratio.max(1);

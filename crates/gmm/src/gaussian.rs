@@ -17,6 +17,13 @@ pub(crate) fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
+/// Fills `out` with standard normals, in order.
+pub(crate) fn fill_standard_normal<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
+    for z in out.iter_mut() {
+        *z = standard_normal(rng);
+    }
+}
+
 /// A multivariate normal `N(mu, Sigma)` with a cached Cholesky factor of the
 /// (regularized) covariance.
 #[derive(Debug, Clone)]
@@ -109,9 +116,13 @@ impl Gaussian {
     /// [`Gaussian::sample`] into `out`, of length [`Gaussian::dim`]: the same
     /// draws and the same arithmetic, with nothing allocated.
     pub(crate) fn sample_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
-        for z in out.iter_mut() {
-            *z = standard_normal(rng);
-        }
+        fill_standard_normal(rng, out);
+        self.map_standard_normal(out);
+    }
+
+    /// Maps standard normals `z`, held in `out` of length [`Gaussian::dim`],
+    /// to `μ + L z` in place: the arithmetic of [`Gaussian::sample`].
+    pub(crate) fn map_standard_normal(&self, out: &mut [f64]) {
         self.chol
             .transform_standard_normal_into(out)
             .expect("out has the component's dimension");

@@ -14,7 +14,8 @@
 //! * **incremental sufficient-statistics updates** (Eq. 8–9) so the rejection
 //!   test does not refit from scratch for every synthesized entity,
 //! * Monte-Carlo **Jensen–Shannon divergence** between two `O`-distributions
-//!   (Eq. 3 / Eq. 10).
+//!   (Eq. 3 / Eq. 10), on a [`JsdSheet`] of common random numbers so that
+//!   estimates of two mixtures against one reference share their noise.
 
 mod em;
 mod gaussian;
@@ -24,7 +25,7 @@ mod model;
 
 pub use em::SuffStats;
 pub use gaussian::Gaussian;
-pub use mixture::OMixture;
+pub use mixture::{JsdSheet, OMixture};
 pub use model::{Gmm, GmmConfig};
 
 /// Errors from mixture-model routines.

@@ -1,6 +1,8 @@
 //! The `O`-distribution: `p(x) = π p_m(x) + (1-π) p_n(x)`, with posterior
-//! labeling and Monte-Carlo Jensen–Shannon divergence.
+//! labeling and Monte-Carlo Jensen–Shannon divergence on common random
+//! numbers.
 
+use crate::gaussian::fill_standard_normal;
 use crate::model::Evaluator;
 use crate::{Gmm, GmmConfig, GmmError, Result};
 use rand::rngs::StdRng;
@@ -128,60 +130,142 @@ impl OMixture {
     /// [`OMixture::sample`] into `out`, of length [`OMixture::dim`]; returns
     /// whether the draw came from the M-distribution.
     fn sample_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [f64]) -> bool {
-        let from_m = rng.gen::<f64>() < self.pi;
+        let (u_side, u_component) = draw_uniforms(rng, out);
+        self.map_draw(u_side, u_component, out)
+    }
+
+    /// Maps one draw's uniforms and the standard normals held in `out` to a
+    /// sample, in place: the side by `u_side < π`, the component by the
+    /// side's weight walk over `u_component`, then `μ + L z`, clamped to
+    /// `[0,1]^l`. Returns whether the draw came from the M-distribution.
+    fn map_draw(&self, u_side: f64, u_component: f64, out: &mut [f64]) -> bool {
+        let from_m = u_side < self.pi;
         let side = if from_m { &self.m } else { &self.n };
-        side.sample_clamped_into(rng, out);
+        side.component_at(u_component).map_standard_normal(out);
+        crate::model::clamp_to_unit_cube(out);
         from_m
     }
 
     /// Monte-Carlo estimate of the Jensen–Shannon divergence between two
-    /// `O`-distributions (paper Eq. 3):
-    ///
-    /// `JSD(p||q) = 0.5 KL(p||m) + 0.5 KL(q||m)` with `m = (p+q)/2`,
-    /// estimated by sampling `n` points from each side. The result is in
-    /// `[0, ln 2]`, and estimates are non-negative up to Monte-Carlo noise
-    /// (clamped at 0).
-    ///
-    /// Sampling is chunk-parallel: one master seed is drawn from `rng`, each
-    /// chunk of draws gets an independent seed-split RNG stream, and chunk
-    /// sums merge in order — the estimate is a pure function of `(self,
-    /// other, n, master seed)` and does not depend on the thread count.
-    ///
-    /// Each chunk builds both mixtures' evaluators and one sample buffer up
-    /// front, so a draw allocates nothing; every float operation is the one
-    /// [`OMixture::sample`] and [`OMixture::log_pdf`] do, in the same order.
+    /// `O`-distributions (paper Eq. 3), `n` draws per side: one seed is
+    /// drawn from `rng`, a [`JsdSheet`] of that seed is built on `other`,
+    /// and `self` is estimated on it. The result is a pure function of
+    /// `(self, other, n, seed)`.
     pub fn jsd<R: Rng + ?Sized>(&self, other: &OMixture, n: usize, rng: &mut R) -> f64 {
-        const JSD_CHUNK: usize = 128;
-        let n = n.max(1);
-        let master: u64 = rng.gen();
-        // Streams 2ci / 2ci+1 keep the p- and q-side draws independent.
-        let draws = vec![(); n];
-        let kl_side = |from_q: bool| -> f64 {
-            let partials = parallel::par_chunk_map(&draws, JSD_CHUNK, |ci, chunk| {
-                let stream = 2 * ci as u64 + from_q as u64;
-                let mut crng =
-                    StdRng::seed_from_u64(parallel::split_seed(master, stream));
-                let (mut p, mut q) = (self.evaluator(), other.evaluator());
-                let from = if from_q { other } else { self };
-                let mut x = vec![0.0; from.dim()];
-                let mut kl = 0.0;
-                for _ in 0..chunk.len() {
-                    from.sample_into(&mut crng, &mut x);
-                    let lp = p.log_pdf(&x);
-                    let lq = q.log_pdf(&x);
-                    let lm = crate::log_sum_exp(&[lp, lq]) - std::f64::consts::LN_2;
-                    kl += if from_q { lq - lm } else { lp - lm };
-                }
-                kl
-            });
-            partials.into_iter().sum()
-        };
-        let kl_p = kl_side(false);
-        let kl_q = kl_side(true);
-        let d = (0.5 * (kl_p + kl_q) / n as f64).max(0.0);
-        obs::series("jsd_estimate", d);
-        d
+        JsdSheet::new(other, n, rng.gen()).estimate(self)
     }
+}
+
+/// One draw's side and component uniforms, with its standard normals
+/// written to `z`, consumed from `rng` in the order [`OMixture::sample`]
+/// consumes them.
+fn draw_uniforms<R: Rng + ?Sized>(rng: &mut R, z: &mut [f64]) -> (f64, f64) {
+    let u_side = rng.gen::<f64>();
+    let u_component = rng.gen::<f64>();
+    fill_standard_normal(rng, z);
+    (u_side, u_component)
+}
+
+/// The seed-split streams of a sheet's two sides: the other side's
+/// uniforms and normals, and the reference draws. They are the streams the
+/// chunk-parallel estimator that sheets replaced gave its first chunk of
+/// 128 draws, so an [`OMixture::jsd`] of at most 128 draws per side (the
+/// `jsd_samples` of `SerdConfig::fast()`) returns what that one did.
+const OTHER_STREAM: u64 = 0;
+const REFERENCE_STREAM: u64 = 1;
+
+/// Common random numbers for estimating `JSD(P, Q)` (paper Eq. 3) against
+/// one reference `O`-distribution `Q`, for any `P`:
+///
+/// `JSD(P||Q) = 0.5 KL(P||M) + 0.5 KL(Q||M)` with `M = (P+Q)/2`.
+///
+/// The sheet holds `n` draws from `Q` with `log q` at each, drawn and scored
+/// once, and for the `P` side `n` draws' worth of uniforms and standard
+/// normals, which [`JsdSheet::estimate`] maps through whichever `P` it is
+/// given exactly as [`OMixture::sample`] would map them. An estimate on a
+/// sheet is therefore a pure function of `P`, and two mixtures estimated
+/// on one sheet differ by much less noise than two independent estimates.
+#[derive(Debug)]
+pub struct JsdSheet {
+    reference: OMixture,
+    n: usize,
+    /// The `n` reference draws, row-major, and `log q` at each.
+    q_points: Vec<f64>,
+    q_log_pdf: Vec<f64>,
+    /// Per `P`-side draw: the side and component uniforms, and `dim`
+    /// standard normals (row-major).
+    u_side: Vec<f64>,
+    u_component: Vec<f64>,
+    z: Vec<f64>,
+}
+
+impl JsdSheet {
+    /// Draws a sheet of `n` (at least 1) draws per side against `reference`
+    /// from `seed`: the reference draws from one seed-split stream, the
+    /// other side's uniforms and normals from another.
+    pub fn new(reference: &OMixture, n: usize, seed: u64) -> JsdSheet {
+        let n = n.max(1);
+        let d = reference.dim();
+        let mut qrng = StdRng::seed_from_u64(parallel::split_seed(seed, REFERENCE_STREAM));
+        let mut q_points = vec![0.0; n * d];
+        let mut q_log_pdf = Vec::with_capacity(n);
+        let mut q_eval = reference.evaluator();
+        for i in 0..n {
+            let y = &mut q_points[i * d..(i + 1) * d];
+            reference.sample_into(&mut qrng, y);
+            q_log_pdf.push(q_eval.log_pdf(y));
+        }
+        let mut prng = StdRng::seed_from_u64(parallel::split_seed(seed, OTHER_STREAM));
+        let (mut u_side, mut u_component) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        let mut z = vec![0.0; n * d];
+        for i in 0..n {
+            let (us, uc) = draw_uniforms(&mut prng, &mut z[i * d..(i + 1) * d]);
+            u_side.push(us);
+            u_component.push(uc);
+        }
+        JsdSheet { reference: reference.clone(), n, q_points, q_log_pdf, u_side, u_component, z }
+    }
+
+    /// The `i`-th `P`-side draw mapped through `p`, into `out` of length
+    /// [`OMixture::dim`].
+    fn draw_into(&self, p: &OMixture, i: usize, out: &mut [f64]) {
+        let d = out.len();
+        out.copy_from_slice(&self.z[i * d..(i + 1) * d]);
+        p.map_draw(self.u_side[i], self.u_component[i], out);
+    }
+
+    /// The estimate of `JSD(p, Q)` on this sheet, in `[0, ln 2]` up to
+    /// Monte-Carlo noise (clamped at 0). Runs serially and allocates the
+    /// same whatever `n`: the two mixtures' evaluators and one point buffer.
+    ///
+    /// # Panics
+    /// If `p` and the reference differ in dimension.
+    pub fn estimate(&self, p: &OMixture) -> f64 {
+        let d = self.reference.dim();
+        assert_eq!(p.dim(), d, "JSD of mixtures of different dimension");
+        let (mut pe, mut qe) = (p.evaluator(), self.reference.evaluator());
+        let mut x = vec![0.0; d];
+        let mut kl_p = 0.0;
+        for i in 0..self.n {
+            self.draw_into(p, i, &mut x);
+            let lp = pe.log_pdf(&x);
+            let lq = qe.log_pdf(&x);
+            kl_p += lp - log_mean_exp(lp, lq);
+        }
+        let mut kl_q = 0.0;
+        for (i, &lq) in self.q_log_pdf.iter().enumerate() {
+            let lp = pe.log_pdf(&self.q_points[i * d..(i + 1) * d]);
+            kl_q += lq - log_mean_exp(lp, lq);
+        }
+        let jsd = (0.5 * (kl_p + kl_q) / self.n as f64).max(0.0);
+        obs::series("jsd_estimate", jsd);
+        jsd
+    }
+}
+
+/// `log((e^a + e^b) / 2)`, the log-density of the midpoint mixture `M`.
+fn log_mean_exp(a: f64, b: f64) -> f64 {
+    crate::log_sum_exp(&[a, b]) - std::f64::consts::LN_2
 }
 
 /// [`OMixture::log_pdf`] over reused buffers: both sides' log-priors and
@@ -296,121 +380,6 @@ mod tests {
         }
     }
 
-    /// `jsd` as it was written before the chunk evaluators: a fresh `Vec`
-    /// per draw, per `L z` and per density, the textbook triangular loops,
-    /// and `log_pdf` through each side's own mixture. The estimate must
-    /// reproduce it bit for bit, not just agree with itself.
-    #[allow(clippy::needless_range_loop)] // the indexed loops are the reference
-    mod reference {
-        use crate::gaussian::{standard_normal, LN_2PI};
-        use crate::{log_sum_exp, Gaussian, Gmm, OMixture};
-        use linalg::Cholesky;
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-
-        /// `Gaussian::new` factors the covariance it stores (jitter
-        /// included), so factoring `cov()` again gives the same `L`.
-        fn factor(c: &Gaussian) -> Cholesky {
-            Cholesky::new(c.cov()).unwrap()
-        }
-
-        fn gaussian_sample(c: &Gaussian, rng: &mut StdRng) -> Vec<f64> {
-            let z: Vec<f64> = (0..c.dim()).map(|_| standard_normal(rng)).collect();
-            let l = factor(c);
-            let mut lz = vec![0.0; z.len()];
-            for i in 0..z.len() {
-                let mut sum = 0.0;
-                for k in 0..=i {
-                    sum += l.l().get(i, k) * z[k];
-                }
-                lz[i] = sum;
-            }
-            c.mean().iter().zip(&lz).map(|(&m, &d)| m + d).collect()
-        }
-
-        fn gmm_sample_clamped(g: &Gmm, rng: &mut StdRng) -> Vec<f64> {
-            let mut u: f64 = rng.gen();
-            for (k, &w) in g.weights().iter().enumerate() {
-                if u < w || k == g.weights().len() - 1 {
-                    let x = gaussian_sample(&g.components()[k], rng);
-                    return x.into_iter().map(|v| v.clamp(0.0, 1.0)).collect();
-                }
-                u -= w;
-            }
-            unreachable!("weights are normalized");
-        }
-
-        fn sample(o: &OMixture, rng: &mut StdRng) -> Vec<f64> {
-            if rng.gen::<f64>() < o.pi() {
-                gmm_sample_clamped(o.m(), rng)
-            } else {
-                gmm_sample_clamped(o.n(), rng)
-            }
-        }
-
-        fn gaussian_log_pdf(c: &Gaussian, x: &[f64]) -> f64 {
-            let l = factor(c);
-            let log_norm = -0.5 * (c.dim() as f64 * LN_2PI + l.log_det());
-            let diff: Vec<f64> = x.iter().zip(c.mean()).map(|(&a, &m)| a - m).collect();
-            let n = diff.len();
-            let mut y = vec![0.0; n];
-            for i in 0..n {
-                let mut sum = diff[i];
-                for k in 0..i {
-                    sum -= l.l().get(i, k) * y[k];
-                }
-                y[i] = sum / l.l().get(i, i);
-            }
-            let maha: f64 = y.iter().map(|&v| v * v).sum();
-            log_norm - 0.5 * maha
-        }
-
-        fn gmm_log_pdf(g: &Gmm, x: &[f64]) -> f64 {
-            let logs: Vec<f64> = g
-                .components()
-                .iter()
-                .zip(g.weights())
-                .map(|(c, &w)| w.max(1e-300).ln() + gaussian_log_pdf(c, x))
-                .collect();
-            log_sum_exp(&logs)
-        }
-
-        fn log_pdf(o: &OMixture, x: &[f64]) -> f64 {
-            let a = o.pi().max(1e-300).ln() + gmm_log_pdf(o.m(), x);
-            let b = (1.0 - o.pi()).max(1e-300).ln() + gmm_log_pdf(o.n(), x);
-            log_sum_exp(&[a, b])
-        }
-
-        /// Serial over the same 128-draw chunks and streams, merged in
-        /// chunk order.
-        pub fn jsd(p: &OMixture, q: &OMixture, n: usize, rng: &mut StdRng) -> f64 {
-            let n = n.max(1);
-            let master: u64 = rng.gen();
-            let kl_side = |from_q: bool| -> f64 {
-                let partials: Vec<f64> = (0..n.div_ceil(128))
-                    .map(|ci| {
-                        let stream = 2 * ci as u64 + from_q as u64;
-                        let mut crng =
-                            StdRng::seed_from_u64(parallel::split_seed(master, stream));
-                        let mut kl = 0.0;
-                        for _ in 0..(n - ci * 128).min(128) {
-                            let x = if from_q { sample(q, &mut crng) } else { sample(p, &mut crng) };
-                            let lp = log_pdf(p, &x);
-                            let lq = log_pdf(q, &x);
-                            let lm = log_sum_exp(&[lp, lq]) - std::f64::consts::LN_2;
-                            kl += if from_q { lq - lm } else { lp - lm };
-                        }
-                        kl
-                    })
-                    .collect();
-                partials.into_iter().sum()
-            };
-            let kl_p = kl_side(false);
-            let kl_q = kl_side(true);
-            (0.5 * (kl_p + kl_q) / n as f64).max(0.0)
-        }
-    }
-
     /// A random `g`-component mixture in `d` dimensions: random means and
     /// full covariances, the second component rank-one (factored with
     /// jitter), and the last weighted zero when `g > 1`.
@@ -440,30 +409,100 @@ mod tests {
         Gmm::from_parts(weights, components, crate::SuffStats::zeros(g, d), 1e-6).unwrap()
     }
 
-    #[test]
-    fn jsd_matches_the_per_draw_reference_bit_for_bit() {
-        use std::sync::Arc;
-        let mut rng = StdRng::seed_from_u64(2025);
+    /// Random `O`-distributions in 1–4 dimensions, each side with a
+    /// rank-one and a zero-weight component where it has two or more.
+    fn random_pairs(rng: &mut StdRng) -> Vec<(OMixture, OMixture)> {
+        let mut pairs = Vec::new();
         for d in 1..=4 {
             for (gp, gq) in [(1, 1), (2, 3), (3, 2)] {
-                let p = OMixture::new(rng.gen(), random_gmm(&mut rng, gp, d), random_gmm(&mut rng, gq, d))
+                let p = OMixture::new(rng.gen(), random_gmm(rng, gp, d), random_gmm(rng, gq, d))
                     .unwrap();
-                let q = OMixture::new(rng.gen(), random_gmm(&mut rng, gq, d), random_gmm(&mut rng, gp, d))
+                let q = OMixture::new(rng.gen(), random_gmm(rng, gq, d), random_gmm(rng, gp, d))
                     .unwrap();
-                // One draw, a partial chunk, and two chunks.
-                for n in [1, 80, 129] {
-                    let seed: u64 = rng.gen();
-                    let want = reference::jsd(&p, &q, n, &mut StdRng::seed_from_u64(seed));
-                    for threads in [1, 2] {
-                        let got = parallel::with_pool(Arc::new(parallel::ThreadPool::new(threads)), || {
-                            p.jsd(&q, n, &mut StdRng::seed_from_u64(seed))
-                        });
-                        let case = format!("d={d} g=({gp},{gq}) n={n} threads={threads}");
-                        assert_eq!(got.to_bits(), want.to_bits(), "{case}");
-                    }
-                }
+                pairs.push((p, q));
             }
         }
+        pairs
+    }
+
+    #[test]
+    fn sheet_draws_are_omixture_samples_fed_the_same_numbers() {
+        let mut rng = StdRng::seed_from_u64(2025);
+        for (p, q) in random_pairs(&mut rng) {
+            let (n, seed) = (129, rng.gen::<u64>());
+            let sheet = JsdSheet::new(&q, n, seed);
+            // The P side: the sheet's uniforms and normals mapped through p
+            // are what `p.sample` draws from the same stream, bit for bit,
+            // and what a side picked by `u < π` draws through
+            // `Gmm::sample_clamped`, which does not go through `map_draw`.
+            let mut other = StdRng::seed_from_u64(parallel::split_seed(seed, OTHER_STREAM));
+            let mut by_side = other.clone();
+            let mut x = vec![0.0; p.dim()];
+            let bits = |v: &[f64]| v.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
+            for i in 0..n {
+                sheet.draw_into(&p, i, &mut x);
+                let (want, _) = p.sample(&mut other);
+                assert_eq!(bits(&x), bits(&want), "draw {i}");
+                let side = if by_side.gen::<f64>() < p.pi() { p.m() } else { p.n() };
+                assert_eq!(bits(&x), bits(&side.sample_clamped(&mut by_side)), "draw {i}");
+            }
+            // The Q side: q's own samples from the reference stream, scored
+            // by `log_pdf`.
+            let mut reference = StdRng::seed_from_u64(parallel::split_seed(seed, REFERENCE_STREAM));
+            for i in 0..n {
+                let (want, _) = q.sample(&mut reference);
+                let y = &sheet.q_points[i * q.dim()..(i + 1) * q.dim()];
+                assert!(y.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()));
+                assert_eq!(sheet.q_log_pdf[i].to_bits(), q.log_pdf(y).to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn jsd_is_the_estimate_on_a_sheet_of_one_drawn_seed() {
+        let mut rng = StdRng::seed_from_u64(7);
+        for (p, q) in random_pairs(&mut rng) {
+            for n in [1, 80, 129] {
+                let seed: u64 = rng.gen();
+                let mut caller = StdRng::seed_from_u64(seed);
+                let got = p.jsd(&q, n, &mut caller);
+                let sheet = JsdSheet::new(&q, n, StdRng::seed_from_u64(seed).gen());
+                assert_eq!(got.to_bits(), sheet.estimate(&p).to_bits());
+                // One seed drawn, nothing more.
+                let mut after = StdRng::seed_from_u64(seed);
+                let _: u64 = after.gen();
+                assert_eq!(caller.gen::<u64>(), after.gen::<u64>());
+                assert!((0.0..=std::f64::consts::LN_2 + 0.05).contains(&got), "{got}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_sheet_estimates_near_mixtures_with_far_less_noise_than_fresh_draws() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let q = o_like(&mut rng, 0.0);
+        // p2 is p1 after the Eq. 8–9 update with ten draws from q: the pair
+        // Eq. 10 compares.
+        let p1 = o_like(&mut rng, 0.05);
+        let mut p2 = p1.clone();
+        let batch: Vec<(Vec<f64>, bool)> = (0..10).map(|_| q.sample(&mut rng)).collect();
+        let pos: Vec<&[f64]> = batch.iter().filter(|b| b.1).map(|b| b.0.as_slice()).collect();
+        let neg: Vec<&[f64]> = batch.iter().filter(|b| !b.1).map(|b| b.0.as_slice()).collect();
+        p2.m_mut().update_incremental(&pos).unwrap();
+        p2.n_mut().update_incremental(&neg).unwrap();
+        let (mut crn, mut fresh) = (Vec::new(), Vec::new());
+        for _ in 0..40 {
+            let sheet = JsdSheet::new(&q, 80, rng.gen());
+            crn.push(sheet.estimate(&p2) - sheet.estimate(&p1));
+            fresh.push(p2.jsd(&q, 80, &mut rng) - p1.jsd(&q, 80, &mut rng));
+        }
+        let sd = |v: &[f64]| {
+            let m = v.iter().sum::<f64>() / v.len() as f64;
+            (v.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (v.len() - 1) as f64).sqrt()
+        };
+        let (s_crn, s_fresh) = (sd(&crn), sd(&fresh));
+        // Measured: 0.0007 against 0.032.
+        assert!(s_crn < 0.1 * s_fresh, "sd on one sheet {s_crn}, on fresh draws {s_fresh}");
     }
 
     #[test]

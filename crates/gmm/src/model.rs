@@ -436,7 +436,12 @@ impl Gmm {
 
     /// Draws the component a sample comes from.
     fn pick_component<R: Rng + ?Sized>(&self, rng: &mut R) -> &Gaussian {
-        let mut u: f64 = rng.gen();
+        self.component_at(rng.gen())
+    }
+
+    /// The component a draw with uniform `u` comes from: the first whose
+    /// cumulative weight exceeds `u`, or the last.
+    pub(crate) fn component_at(&self, mut u: f64) -> &Gaussian {
         for (k, &w) in self.weights.iter().enumerate() {
             if u < w || k == self.weights.len() - 1 {
                 return &self.components[k];
@@ -454,18 +459,9 @@ impl Gmm {
     /// Samples one vector, clamped to the unit hypercube — similarity vectors
     /// live in `[0, 1]^l`, but a fitted Gaussian has unbounded support.
     pub fn sample_clamped<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
-        let mut x = vec![0.0; self.dim()];
-        self.sample_clamped_into(rng, &mut x);
+        let mut x = self.sample(rng);
+        clamp_to_unit_cube(&mut x);
         x
-    }
-
-    /// [`Gmm::sample_clamped`] into `out`, of length [`Gmm::dim`], with
-    /// nothing allocated.
-    pub(crate) fn sample_clamped_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
-        self.pick_component(rng).sample_into(rng, out);
-        for v in out.iter_mut() {
-            *v = v.clamp(0.0, 1.0);
-        }
     }
 
     /// Incrementally folds `new_points` into the mixture (paper Eq. 8–9):
@@ -586,6 +582,13 @@ fn normalize(w: &mut [f64]) {
         for v in w.iter_mut() {
             *v = u;
         }
+    }
+}
+
+/// Clamps a sample to the unit hypercube, where similarity vectors live.
+pub(crate) fn clamp_to_unit_cube(x: &mut [f64]) {
+    for v in x.iter_mut() {
+        *v = v.clamp(0.0, 1.0);
     }
 }
 

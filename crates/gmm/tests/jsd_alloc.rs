@@ -1,10 +1,12 @@
-//! Pins that the Monte-Carlo JSD estimate allocates per chunk, not per
-//! draw (DESIGN.md §7): one draw and a full 128-draw chunk allocate the
-//! same. The counting allocator is this binary's global allocator, and it
-//! counts per thread; a single chunk runs on the calling thread, so other
-//! tests and the harness's own threads cannot disturb the count.
+//! Pins that the Monte-Carlo JSD estimate allocates per estimate, not per
+//! draw (DESIGN.md §7): an estimate on a sheet of one draw and on a sheet
+//! of 128 draws allocate the same, and so does a whole `OMixture::jsd`,
+//! which also builds its sheet. The counting allocator is this binary's
+//! global allocator, and it counts per thread; the estimate runs serially
+//! on the calling thread, so other tests and the harness's own threads
+//! cannot disturb the count.
 
-use gmm::{Gaussian, GmmConfig, OMixture};
+use gmm::{Gaussian, GmmConfig, JsdSheet, OMixture};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -62,16 +64,24 @@ fn o_like(rng: &mut StdRng, shift: f64) -> OMixture {
 }
 
 #[test]
-fn jsd_allocations_do_not_grow_with_the_draws_of_a_chunk() {
+fn jsd_allocations_do_not_grow_with_the_draws() {
     let mut rng = StdRng::seed_from_u64(3);
     let (p, q) = (o_like(&mut rng, 0.0), o_like(&mut rng, -0.2));
-    // Builds the thread pool and any other lazily created state first.
+    // Builds any lazily created state first.
     std::hint::black_box(p.jsd(&q, 1, &mut rng));
-    let mut count = |n: usize| {
+    let on_sheet = |n: usize| {
+        let sheet = JsdSheet::new(&q, n, 11);
+        let before = allocations();
+        std::hint::black_box(sheet.estimate(&p));
+        allocations() - before
+    };
+    let (one, many) = (on_sheet(1), on_sheet(128));
+    assert_eq!(one, many, "an estimate on 1 draw allocated {one} times, on 128 draws {many}");
+    let mut whole = |n: usize| {
         let before = allocations();
         std::hint::black_box(p.jsd(&q, n, &mut rng));
         allocations() - before
     };
-    let (one, chunk) = (count(1), count(128));
-    assert_eq!(one, chunk, "1 draw allocated {one} times, 128 draws {chunk}");
+    let (one, many) = (whole(1), whole(128));
+    assert_eq!(one, many, "jsd at n = 1 allocated {one} times, at n = 128 {many}");
 }

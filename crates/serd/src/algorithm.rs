@@ -482,10 +482,6 @@ impl SerdSynthesizer {
             stage("s2.commit", || {
                 osyn.commit(&delta, &model.o_real, &online.gmm, online.jsd_samples, rng)
             })?;
-            // The committed JSD(O_syn, O_real) trajectory (Eq. 10 left side).
-            if obs::enabled() && osyn.jsd_current().is_finite() {
-                obs::series("rejection.jsd", osyn.jsd_current());
-            }
         }
 
         // S3: label remaining pairs by posterior over blocked candidates.
@@ -528,6 +524,9 @@ impl SerdSynthesizer {
             // leaves warm-up shows 0 here and accepts every candidate.
             obs::counter("rejection.warmup_accepts", stats.warmup_accepts as u64);
             obs::gauge("rejection.osyn_fitted", f64::from(u8::from(osyn.is_active())));
+            obs::counter("rejection.jsd_estimates", osyn.jsd_estimates() as u64);
+            // The JSD(O_syn, O_real) trajectory (Eq. 10 left side).
+            obs::series_extend("rejection.jsd", osyn.jsd_trajectory());
             obs::counter("matches.s2", stats.s2_matches as u64);
             obs::counter("matches.s3", stats.s3_matches as u64);
             let attempts = stats.accepted

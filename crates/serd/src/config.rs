@@ -37,7 +37,8 @@ pub struct SerdConfig {
     /// Entities sampled from `T_e` when computing `ΔX_syn` (paper Section V
     /// Remark 1; keeps the rejection check O(t) instead of O(|T_e|)).
     pub t_sample: usize,
-    /// Monte-Carlo samples per JSD estimate.
+    /// Monte-Carlo draws per side of a JSD estimate: the size of the
+    /// rejection tracker's sheet (`gmm::JsdSheet`).
     pub jsd_samples: usize,
     /// Synthesized pairs collected before the `O_syn` tracker is first
     /// fitted (the distribution test needs a stable baseline).

@@ -18,7 +18,7 @@
 //!   rejection** — the GAN discriminator test (`D(e') ≥ β`) and the
 //!   distribution test (`JSD(O'_syn, O_real) ≤ α · JSD(O_syn, O_real)`,
 //!   Eq. 10, maintained incrementally via the GMM sufficient-statistics
-//!   update).
+//!   update, both sides estimated on one sheet of common random numbers).
 //! * **S3**: label every remaining pair by GMM posterior (`P_m(x) ≥ P_n(x)`),
 //!   using q-gram blocking instead of the full cross product.
 //!

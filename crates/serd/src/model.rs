@@ -39,7 +39,8 @@ pub struct OnlineConfig {
     pub reject_by_distribution: bool,
     /// Entities sampled from `T_e` when computing `ΔX_syn`.
     pub t_sample: usize,
-    /// Monte-Carlo samples per JSD estimate.
+    /// Monte-Carlo draws per side of a JSD estimate: the size of the
+    /// rejection tracker's sheet (`gmm::JsdSheet`).
     pub jsd_samples: usize,
     /// Pairs collected before the `O_syn` tracker is first fitted.
     pub osyn_warmup: usize,

@@ -2,10 +2,10 @@
 //! entity `e` and a sampled similarity vector `x`, produce `e'` such that
 //! `f_i(e[C_i], e'[C_i]) = x[i]` for every column.
 
-use er_core::{ColumnType, Entity, Schema, Value};
+use er_core::{Column, ColumnType, Entity, Schema, Value};
 use persist::{Persist, Reader, Writer};
 use rand::Rng;
-use similarity::numeric_inverse;
+use similarity::{numeric_inverse, RawProfile, StringProfile, TokenInterner};
 use std::collections::HashMap;
 use transformer::BucketedSynthesizer;
 
@@ -32,8 +32,8 @@ pub enum Side {
 pub struct ColumnSynthesizer {
     schema: Schema,
     /// Per-side value domains of categorical columns.
-    domains_a: HashMap<usize, Vec<String>>,
-    domains_b: HashMap<usize, Vec<String>>,
+    domains_a: HashMap<usize, Domain>,
+    domains_b: HashMap<usize, Domain>,
     /// Bucketed transformers for text columns.
     text_models: HashMap<usize, BucketedSynthesizer>,
     /// `(min, max)` observed per numeric/date column (values are clamped so
@@ -56,9 +56,9 @@ impl ColumnSynthesizer {
         integral: Vec<bool>,
     ) -> Self {
         ColumnSynthesizer {
+            domains_a: profile_domains(&schema, domains_a),
+            domains_b: profile_domains(&schema, domains_b),
             schema,
-            domains_a,
-            domains_b,
             text_models,
             bounds,
             integral,
@@ -174,31 +174,17 @@ impl ColumnSynthesizer {
         col: usize,
         v: &Value,
         target: f64,
-        column: &er_core::Column,
+        column: &Column,
         side: Side,
     ) -> Value {
         let domains = match side {
             Side::A => &self.domains_a,
             Side::B => &self.domains_b,
         };
-        let domain = match domains.get(&col) {
-            Some(d) if !d.is_empty() => d,
-            _ => return v.clone(),
-        };
-        let base = Value::Categorical(v.as_str().unwrap_or("").to_string());
-        // Each value is scored once. A later value wins only when the best
-        // distance so far is strictly greater, which is `Iterator::min_by`'s
-        // rule over `partial_cmp`: the first minimum wins, and a NaN
-        // distance, which compares as equal, never displaces or is chosen
-        // over an earlier value.
-        let mut best: Option<(&String, f64)> = None;
-        for value in domain {
-            let d = (column.similarity(&base, &Value::Categorical(value.clone())) - target).abs();
-            if best.is_none_or(|(_, best_d)| best_d > d) {
-                best = Some((value, d));
-            }
+        match domains.get(&col).and_then(|d| d.closest(column, v.as_str().unwrap_or(""), target)) {
+            Some(value) => value.clone(),
+            None => v.clone(),
         }
-        Value::Categorical(best.map(|(value, _)| value.clone()).unwrap_or_default())
     }
 
     fn round_if_integral(&self, col: usize, v: f64) -> f64 {
@@ -253,22 +239,87 @@ impl PreparedEntity<'_> {
     }
 }
 
+/// One side's value domain of a categorical column. Each value is profiled
+/// once for the column's similarity kind when the synthesizer is built or
+/// loaded; only the values are persisted.
+struct Domain {
+    /// The domain's values, each a `Value::Categorical`.
+    values: Vec<Value>,
+    /// One profile per value, or none when the column's kind reads none.
+    profiles: Vec<StringProfile>,
+    /// The interner the profiles' tokens went through.
+    interner: TokenInterner,
+}
+
+impl Domain {
+    fn new(values: Vec<String>, column: &Column) -> Domain {
+        let mut interner = TokenInterner::default();
+        let profiles = match column.sim.profile_spec() {
+            Some(spec) => {
+                values.iter().map(|v| StringProfile::build(v, &spec, &mut interner)).collect()
+            }
+            None => Vec::new(),
+        };
+        let values = values.into_iter().map(Value::Categorical).collect();
+        Domain { values, profiles, interner }
+    }
+
+    /// The value whose similarity to `source` is closest to `target` (none
+    /// for an empty domain). `source` is profiled once and each value is
+    /// scored by `Column::similarity_profiled`, whose profile kernels give
+    /// `Column::similarity`'s score (DESIGN.md §10.2).
+    ///
+    /// A later value wins only when the best distance so far is strictly
+    /// greater, which is `Iterator::min_by`'s rule over `partial_cmp`: the
+    /// first minimum wins, and a NaN distance, which compares as equal,
+    /// never displaces or is chosen over an earlier value.
+    fn closest(&self, column: &Column, source: &str, target: f64) -> Option<&Value> {
+        let source_prof = column
+            .sim
+            .profile_spec()
+            .and_then(|spec| RawProfile::build(source, &spec).intern_readonly(&self.interner));
+        let base = Value::Categorical(source.to_string());
+        let mut best: Option<(&Value, f64)> = None;
+        for (k, value) in self.values.iter().enumerate() {
+            let sim = column.similarity_profiled(
+                &base,
+                value,
+                source_prof.as_ref(),
+                self.profiles.get(k),
+                &self.interner,
+            );
+            let d = (sim - target).abs();
+            if best.is_none_or(|(_, best_d)| best_d > d) {
+                best = Some((value, d));
+            }
+        }
+        best.map(|(value, _)| value)
+    }
+}
+
+/// Profiles each categorical domain for its column of `schema`.
+fn profile_domains(schema: &Schema, raw: HashMap<usize, Vec<String>>) -> HashMap<usize, Domain> {
+    raw.into_iter()
+        .map(|(col, values)| (col, Domain::new(values, &schema.columns()[col])))
+        .collect()
+}
+
 /// Upper bound on persisted categorical-domain sizes — far above any real
 /// dataset, low enough that corrupt counts cannot trigger huge allocations.
 const MAX_PERSISTED_DOMAIN: usize = 1 << 20;
 
 /// Writes one side's categorical domains sorted by column index so the
 /// artifact bytes do not depend on `HashMap` iteration order.
-fn write_domains(w: &mut Writer, key: &str, domains: &HashMap<usize, Vec<String>>) {
+fn write_domains(w: &mut Writer, key: &str, domains: &HashMap<usize, Domain>) {
     let mut cols: Vec<usize> = domains.keys().copied().collect();
     cols.sort_unstable();
     w.kv(key, cols.len());
     for col in cols {
-        let values = &domains[&col];
+        let values = &domains[&col].values;
         w.kv("col", col);
         w.kv("values", values.len());
         for v in values {
-            w.kv_str("d", v);
+            w.kv_str("d", v.as_str().unwrap_or(""));
         }
     }
 }
@@ -364,8 +415,8 @@ impl Persist for ColumnSynthesizer {
         if integral.len() != n {
             return Err(r.invalid(format!("{} integral flags for {n} columns", integral.len())));
         }
-        let domains_a = read_domains(r, "domains_a", &schema)?;
-        let domains_b = read_domains(r, "domains_b", &schema)?;
+        let domains_a = profile_domains(&schema, read_domains(r, "domains_a", &schema)?);
+        let domains_b = profile_domains(&schema, read_domains(r, "domains_b", &schema)?);
         let k = r.kv_usize("text_models")?;
         if k > schema.len() {
             return Err(r.invalid(format!("{k} text models for {} columns", schema.len())));
@@ -393,7 +444,6 @@ impl Persist for ColumnSynthesizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use er_core::Column;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use similarity::qgram_jaccard;
@@ -519,7 +569,8 @@ mod tests {
     }
 
     /// The categorical choice as it was written before it moved into
-    /// `prepare_entity`: `min_by`, rescoring both values per comparison.
+    /// `prepare_entity`: a scalar `min_by` scan that scores both values
+    /// through `Column::similarity` per comparison.
     fn categorical_reference(domain: &[String], column: &Column, v: &Value, target: f64) -> Value {
         let base = Value::Categorical(v.as_str().unwrap_or("").to_string());
         let best = domain
@@ -537,38 +588,69 @@ mod tests {
     }
 
     #[test]
-    fn categorical_choice_matches_the_min_by_reference() {
-        let s = synthesizer(false);
-        let column = &s.schema().columns()[1];
+    fn categorical_choice_matches_the_scalar_scan_under_every_kind() {
+        use similarity::SimilarityKind;
+        let domain_a: Vec<String> = [
+            "SIGMOD Conference",
+            "International Conference on Management of Data",
+            "VLDB",
+            "Conférence über Datenbanken",
+            "数据库 会议",
+            "",
+        ]
+        .iter()
+        .map(|v| v.to_string())
+        .collect();
+        let domain_b = vec!["Very Large Data Bases".to_string(), "VLDB".to_string()];
         let sources = [
             Value::Categorical("SIGMOD Conference".into()),
             Value::Categorical("Conference on Data".into()),
             Value::Categorical("VLDB".into()),
+            Value::Categorical("Conférence über Daten".into()),
+            Value::Categorical("数据库".into()),
+            // Off-domain, with tokens no domain value has.
             Value::Categorical("zzz".into()),
+            Value::Categorical(String::new()),
             Value::Null,
         ];
+        let kinds = [
+            SimilarityKind::PAPER_TEXT,
+            SimilarityKind::QgramJaccard { q: 2 },
+            SimilarityKind::TokenJaccard,
+            SimilarityKind::EditSimilarity,
+            SimilarityKind::JaroWinkler,
+            SimilarityKind::CosineTf,
+            SimilarityKind::NumericMinMax,
+        ];
         let mut rng = StdRng::seed_from_u64(9);
-        for (side, domain) in [(Side::A, &s.domains_a[&1]), (Side::B, &s.domains_b[&1])] {
-            for v in &sources {
-                let e = Entity::new(vec![
-                    Value::Text("t".into()),
-                    v.clone(),
-                    Value::Numeric(2000.0),
-                    Value::Date(500),
-                ]);
-                // NaN scores every value NaN: no comparison orders them.
-                for target in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0, f64::NAN] {
-                    let got = s.prepare_entity(&e, &[1.0, target, 1.0, 1.0], side).synthesize(&mut rng);
-                    let want = categorical_reference(domain, column, v, target);
-                    assert_eq!(got.value(1), &want, "{side:?} {v:?} target {target}");
+        for kind in kinds {
+            let column = Column::categorical("venue").with_sim(kind);
+            let s = ColumnSynthesizer::new(
+                Schema::new(vec![column.clone()]),
+                HashMap::from([(0, domain_a.clone())]),
+                HashMap::from([(0, domain_b.clone())]),
+                HashMap::new(),
+                vec![(0.0, 0.0)],
+                vec![false],
+            );
+            for (side, domain) in [(Side::A, &domain_a), (Side::B, &domain_b)] {
+                for v in &sources {
+                    let e = Entity::new(vec![v.clone()]);
+                    // NaN scores every value NaN: no comparison orders them.
+                    for target in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0, f64::NAN] {
+                        let got = s.prepare_entity(&e, &[target], side).synthesize(&mut rng);
+                        let want = categorical_reference(domain, &column, v, target);
+                        assert_eq!(got.value(0), &want, "{kind:?} {side:?} {v:?} target {target}");
+                    }
                 }
             }
         }
         // "zzz" shares no 3-gram with any value: every distance ties, and the
         // first value of the domain wins.
+        let column = Column::categorical("venue");
         let zzz = Value::Categorical("zzz".into());
-        let first = Value::Categorical(s.domains_a[&1][0].clone());
-        assert_eq!(categorical_reference(&s.domains_a[&1], column, &zzz, 0.3), first);
+        let first = Value::Categorical(domain_b[0].clone());
+        assert_eq!(categorical_reference(&domain_b, &column, &zzz, 0.3), first);
     }
 
     #[test]

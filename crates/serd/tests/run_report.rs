@@ -92,7 +92,7 @@ fn json_run_report_covers_every_stage_and_recording_is_inert() {
         "train.loss.bucket",    // transformer per-epoch loss
         "dpsgd.epsilon",        // DP-SGD accountant epsilon trajectory
         "dpsgd.clip_fraction",  // DP-SGD clip fraction
-        "rejection.jsd",        // rejection sampling JSD trajectory
+        "\"rejection.jsd\"",    // rejection sampling JSD trajectory
         "acceptance_rate",      // rejection sampling acceptance rate
         "pool.jobs_executed",   // parallel pool stats
         "pool.utilization",
@@ -108,6 +108,7 @@ fn json_run_report_covers_every_stage_and_recording_is_inert() {
         "text.repair_miss",     // |achieved - target| per repair
         "rejection.warmup_accepts", // candidates accepted before O_syn was fitted
         "rejection.osyn_fitted",    // whether O_syn left warm-up (0/1)
+        "rejection.jsd_estimates",  // Eq. 10 estimates the tracker made
     ] {
         assert!(report.contains(metric), "missing metric {metric} in report:\n{report}");
     }

@@ -381,7 +381,10 @@ impl Persist for BucketedSynthesizer {
     // never take a candidate from as absent.
     // v4: repair stops after `STALL_ROUNDS` rounds without improving, which
     // leaves the caller's RNG where the shorter search left it.
-    const MAGIC: &'static str = "serd-text-v4";
+    // v5: S2's Eq. 10 test estimates on one sheet of common random numbers,
+    // drawn from the caller's RNG once when `O_syn` leaves warm-up, where
+    // every test and commit used to draw a seed of its own.
+    const MAGIC: &'static str = "serd-text-v5";
 
     fn write_body(&self, w: &mut Writer) {
         // `cfg.arch` is a training-time template (a fn pointer) and is not
