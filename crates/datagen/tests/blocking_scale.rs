@@ -1,7 +1,8 @@
 //! Cross-crate pin: sharded q-gram blocking emits bit-identical candidate
 //! pairs to the monolithic single-index path on the simulated Restaurant and
 //! DBLP-ACM benchmarks, at 1 and 4 compute threads — and, on a streamed
-//! 10⁵-entity Restaurant export, under a residency-budgeted ProfileCache.
+//! 10⁵-entity Restaurant export, so do the profile cache's blocking and
+//! fit's per-pair similarity vectors.
 //!
 //! The per-shard indexes partition the gram space (`gram_hash % S`), every
 //! shard's buckets are truncated exactly as the monolithic index truncates
@@ -56,12 +57,12 @@ fn dblp_acm_sharded_blocking_is_thread_and_shard_invariant() {
 }
 
 /// The scale path end to end at 10⁵ entities: streamed export → ingest drops
-/// no row, pool-width blocking equals the single-shard reference, and a
-/// ProfileCache budgeted at half the corpus blocks identically and stays
-/// within its budget while scoring pairs that touch every record.
+/// no row, pool-width blocking and blocking over a resident ProfileCache equal
+/// the single-shard reference, and fit's similarity vectors equal the
+/// resident cache's scores of the same pairs, bit for bit.
 #[test]
-fn restaurant_streamed_1e5_ingests_every_row_and_blocks_under_a_budget() {
-    const BUDGET: usize = 50_000;
+fn restaurant_streamed_1e5_ingests_every_row_and_blocks_identically() {
+    const NEG: usize = 400;
     let kind = DatasetKind::Restaurant;
     let dir = std::env::temp_dir().join(format!("serd_blocking_scale_{}", std::process::id()));
     let spec = ScaleSpec::for_entities(kind, 100_000);
@@ -75,45 +76,53 @@ fn restaurant_streamed_1e5_ingests_every_row_and_blocks_under_a_budget() {
         (stats.rows_a, stats.rows_b, stats.matches),
         "rows dropped between export and ingest"
     );
-    // Compared by `==` with lengths in the message: a diff of 10⁴-pair
+    // Compared by `==` with lengths in the message: a diff of 10⁴-element
     // vectors would bury the failure.
-    let same = |got: Vec<(usize, usize)>, want: &[(usize, usize)], what: &str| {
+    fn same<T: PartialEq>(got: &[T], want: &[T], what: &str) {
         assert!(
             got == want,
-            "{what}: {} candidates, reference {}",
+            "{what}: {} items, reference {}",
             got.len(),
             want.len()
         );
-    };
+    }
 
     with_pool(Arc::new(ThreadPool::new(4)), || {
         let reference = candidate_pairs_sharded(a, b, 3, 20, 1);
         assert!(!reference.is_empty(), "10⁵ entities produced no candidates");
         same(
-            candidate_pairs(a, b, 3, 20),
+            &candidate_pairs(a, b, 3, 20),
             &reference,
             "pool-width shards diverged",
         );
 
-        let cache = ProfileCache::build_with_budget(a, b, 3, Some(BUDGET));
+        let cache = ProfileCache::build(a, b, 3);
         same(
-            candidate_pairs_cached(a, b, &cache, 3, 20),
+            &candidate_pairs_cached(a, b, &cache, 3, 20),
             &reference,
-            "budgeted cache diverged",
+            "cached blocking diverged",
         );
-        // Blocking truncates buckets, so its candidates reach few records;
-        // score a[i] against b[i] instead, touching every record once.
-        assert!(
-            a.len() + b.len() > BUDGET,
-            "the sweep must overflow the budget"
-        );
-        for i in 0..a.len().min(b.len()) {
-            cache.pair_similarity(a.schema(), a.entity(i), i, b.entity(i), i);
+
+        let mut rng = StdRng::seed_from_u64(9);
+        let sv = sim.er.similarity_vectors(NEG, &mut rng);
+        let mut rng = StdRng::seed_from_u64(9);
+        let neg_pairs = sim.er.sample_nonmatch_pairs(NEG, &mut rng);
+        let mut pos_pairs: Vec<(usize, usize)> = sim.er.matches().iter().copied().collect();
+        pos_pairs.sort_unstable();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for (got, pairs, what) in [(&sv.pos, &pos_pairs, "X+"), (&sv.neg, &neg_pairs, "X-")] {
+            let got: Vec<Vec<u64>> = got.iter().map(|v| bits(v)).collect();
+            let want: Vec<Vec<u64>> = pairs
+                .iter()
+                .map(|&(i, j)| {
+                    bits(&cache.pair_similarity(a.schema(), a.entity(i), i, b.entity(j), j))
+                })
+                .collect();
+            same(
+                &got,
+                &want,
+                &format!("{what} differs from the resident cache's scores"),
+            );
         }
-        assert!(
-            cache.resident() <= BUDGET,
-            "{} profiles resident over a budget of {BUDGET}",
-            cache.resident()
-        );
     });
 }

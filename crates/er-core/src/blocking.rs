@@ -49,10 +49,8 @@ pub fn candidate_pairs_sharded(
     block(a, b, GramSource::Relations, q, max_bucket, shards)
 }
 
-/// [`candidate_pairs`] over a dataset's [`ProfileCache`]: a fully resident
-/// cache blocks on its profiles ([`candidate_pairs_profiled`]); a budgeted
-/// one cannot lend out profile slices, so it blocks on the relations (same
-/// candidate set, recomputed grams).
+/// [`candidate_pairs`] over a dataset's [`ProfileCache`], blocking on its
+/// profiles ([`candidate_pairs_profiled`]).
 pub fn candidate_pairs_cached(
     a: &Relation,
     b: &Relation,
@@ -60,10 +58,8 @@ pub fn candidate_pairs_cached(
     q: usize,
     max_bucket: usize,
 ) -> Vec<(usize, usize)> {
-    match cache.resident_profiles() {
-        Some((aprofs, bprofs)) => candidate_pairs_profiled(a, b, aprofs, bprofs, q, max_bucket),
-        None => candidate_pairs(a, b, q, max_bucket),
-    }
+    let (aprofs, bprofs) = cache.profiles();
+    candidate_pairs_profiled(a, b, aprofs, bprofs, q, max_bucket)
 }
 
 /// [`candidate_pairs`] over already-profiled record slices (the synthesis
@@ -365,19 +361,6 @@ mod tests {
         for shards in [2, 8] {
             assert_eq!(candidate_pairs_sharded(&big_a, &big_b, 3, 5, shards), capped);
         }
-    }
-
-    #[test]
-    fn budgeted_cache_blocking_falls_back_to_relations() {
-        let a = rel(&["adaptable query optimization", "zzzz completely unrelated", "ab"]);
-        let b = rel(&["adaptable query evaluation", "query processing things", "ab"]);
-        // Budget 1 < 6 records: the cache is not fully resident.
-        let cache = crate::simcache::ProfileCache::build_with_budget(&a, &b, 3, Some(1));
-        assert!(cache.resident_profiles().is_none());
-        assert_eq!(
-            candidate_pairs(&a, &b, 3, 10),
-            candidate_pairs_cached(&a, &b, &cache, 3, 10)
-        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The labeled ER dataset `E = (A, B, M, N)` and similarity-vector extraction.
 
-use crate::simcache::ProfileCache;
+use crate::simcache::{self, ProfileCache};
 use crate::{blocking, Entity, ErError, Relation, Result};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -81,8 +81,9 @@ impl ErDataset {
     }
 
     /// The per-record profile cache, built on first use (parallel string
-    /// work, serial deterministic interning). All similarity-vector and
-    /// blocking entry points route through it.
+    /// work, serial deterministic interning) and kept for the dataset's
+    /// life. Random-access scoring ([`ErDataset::similarity_vector`]) routes
+    /// through it; [`ErDataset::similarity_vectors`] does not build it.
     pub fn profiles(&self) -> &ProfileCache {
         self.profiles.get_or_init(|| {
             Arc::new(ProfileCache::build(&self.a, &self.b, blocking::DEFAULT_BLOCK_Q))
@@ -135,34 +136,28 @@ impl ErDataset {
     /// are trivially dissimilar, which would make the learned N-distribution
     /// degenerate near the origin and the matching task artificially easy.
     ///
-    /// Pair scoring runs in parallel; the match set is sorted first (HashSet
-    /// iteration order varies run to run) so the extracted vectors arrive in
-    /// a reproducible order for the downstream GMM fits.
+    /// Pairs are scored in parallel, each through profiles of its two
+    /// records that are dropped after scoring, so no profile of the dataset
+    /// stays resident; scores are bit-identical to
+    /// [`ErDataset::similarity_vector`]'s. The match set is sorted first
+    /// (HashSet iteration order varies run to run) so the extracted vectors
+    /// arrive in a reproducible order for the downstream GMM fits.
     pub fn similarity_vectors<R: Rng>(&self, neg_samples: usize, rng: &mut R) -> SimilarityVectors {
         let _span = obs::span("similarity_vectors");
-        // Resolve (and if needed build) the profile cache before the pair
-        // timer starts, so `pairs_per_sec` measures pure pair scoring.
-        let cache = self.profiles();
-        let schema = self.a.schema();
+        let mut pairs: Vec<(usize, usize)> = self.matches.iter().copied().collect();
+        pairs.sort_unstable();
+        let n_pos = pairs.len();
+        pairs.extend(self.sample_nonmatch_pairs(neg_samples, rng));
+
         let timer = obs::enabled().then(std::time::Instant::now);
-
-        let mut match_pairs: Vec<(usize, usize)> = self.matches.iter().copied().collect();
-        match_pairs.sort_unstable();
-        let score = |&(i, j): &(usize, usize)| {
-            cache.pair_similarity(schema, self.a.entity(i), i, self.b.entity(j), j)
-        };
-        let pos = parallel::par_map(&match_pairs, score);
-
-        let neg_pairs = self.sample_nonmatch_pairs(neg_samples, rng);
-        let neg = parallel::par_map(&neg_pairs, score);
-
+        let mut pos = simcache::score_pairs(&self.a, &self.b, &pairs);
+        let neg = pos.split_off(n_pos);
         if let Some(t) = timer {
-            let pairs = (pos.len() + neg.len()) as u64;
-            obs::counter("pairs", pairs);
+            obs::counter("pairs", pairs.len() as u64);
             let secs = t.elapsed().as_secs_f64();
             if secs > 0.0 {
-                obs::gauge("pairs_per_sec", pairs as f64 / secs);
-                obs::gauge("sim.pairs_per_sec", pairs as f64 / secs);
+                obs::gauge("pairs_per_sec", pairs.len() as f64 / secs);
+                obs::gauge("sim.pairs_per_sec", pairs.len() as f64 / secs);
             }
         }
         SimilarityVectors { pos, neg }
@@ -171,14 +166,20 @@ impl ErDataset {
     /// Samples `n` non-matching pairs: blocked hard negatives first, then
     /// uniform random pairs to fill the quota. The returned order is a pure
     /// function of the dataset and `rng` (insertion order, deduplicated) —
-    /// no hash-iteration order leaks into it.
+    /// no hash-iteration order leaks into it. With obs on, publishes the
+    /// blocking's pair completeness (planted matches among the candidates ÷
+    /// |M|) as `blocking.pair_completeness`.
     pub fn sample_nonmatch_pairs<R: Rng>(&self, n: usize, rng: &mut R) -> Vec<(usize, usize)> {
         let mut out: Vec<(usize, usize)> = Vec::new();
         let mut seen: HashSet<(usize, usize)> = HashSet::new();
 
         // Hard negatives via q-gram blocking on the first text column.
-        let mut blocked =
-            blocking::candidate_pairs_cached(&self.a, &self.b, self.profiles(), 3, 20);
+        let mut blocked = blocking::candidate_pairs(&self.a, &self.b, 3, 20);
+        if obs::enabled() && !self.matches.is_empty() {
+            let found = blocked.iter().filter(|p| self.matches.contains(p)).count();
+            let completeness = found as f64 / self.matches.len() as f64;
+            obs::gauge("blocking.pair_completeness", completeness);
+        }
         blocked.shuffle(rng);
         for (i, j) in blocked {
             if out.len() >= n / 2 {

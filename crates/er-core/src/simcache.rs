@@ -1,32 +1,35 @@
-//! Per-record similarity-profile caches: build each record's
-//! [`StringProfile`]s once, compare pairs forever.
+//! Per-record similarity profiles: build each record's [`StringProfile`]s
+//! once, compare pairs through them.
 //!
 //! Similarity-vector extraction, blocking, and the synthesis rejection loop
 //! all compare the same records against many partners. The scalar kernels
 //! re-derive per-string structure (char buffers, q-gram maps, token sets) on
-//! *every* comparison; the caches here hoist that work to one profile build
+//! *every* comparison; the shapes here hoist that work to one profile build
 //! per record and column, after which each pair comparison is a pure merge
 //! over preprocessed arrays (see `similarity::profile`). Scores are identical
 //! to the scalar path — the profile kernels replicate the scalar kernels'
 //! exact floating-point operation order.
 //!
-//! Two cache shapes cover the two access patterns:
+//! Three shapes cover the three access patterns:
 //!
-//! * [`ProfileCache`] — a bulk cache over both relations of a dataset, built
-//!   in parallel (`parallel::par_map`). Columns whose kernel reads tokens
-//!   first get a serial interning pass, so token ids are deterministic at any
-//!   thread count; on schemas without such columns the build is one
-//!   `par_map` per relation. [`crate::ErDataset`] builds one lazily and
-//!   routes similarity vectors and blocking through it.
+//! * `score_pairs` — a known list of pairs, scored once each (fit's X+ and
+//!   X−, through [`crate::ErDataset::similarity_vectors`]). Each pair
+//!   profiles its two records and drops them after scoring, so no profile
+//!   outlives its pair.
+//! * [`ProfileCache`] — random access over both relations of a dataset,
+//!   every record resident, built in parallel (`parallel::par_map`).
+//!   [`crate::ErDataset`] builds one lazily for
+//!   [`crate::ErDataset::similarity_vector`].
 //! * [`IncrementalProfiler`] — a grow-as-you-go profiler for the synthesis
 //!   loop, where records are created one candidate at a time and each
 //!   accepted record is compared against every later candidate.
+//!
+//! The first two share one token pass: columns whose kernel reads tokens are
+//! interned serially first, so token ids are deterministic at any thread
+//! count; on schemas without such columns there is nothing to intern.
 
 use crate::{blocking, Entity, Relation, Schema};
 use similarity::{ProfileSpec, RawProfile, SimContext, StringProfile, TokenInterner};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::sync::{Arc, Mutex};
 
 /// One profiled record: at each column position, the column's
 /// [`StringProfile`] — or `None` for numeric/date columns and null values.
@@ -92,12 +95,15 @@ fn profile_record(
     }
 }
 
+/// Records tokenized per interning chunk.
+const CHUNK: usize = 4096;
+
 /// Interns the tokens of every column whose kernel reads them, serially —
 /// relation A then relation B, record order, column order — so token ids are
-/// first-seen and independent of thread count and residency budget. The
-/// string work of each fixed-size chunk fans out over the pool and is
-/// dropped after interning, so peak memory is one chunk. Schemas with no
-/// token-reading column intern nothing.
+/// first-seen and independent of thread count and of which records are
+/// profiled afterwards. The string work of each [`CHUNK`] of records fans out
+/// over the pool and is dropped after interning, so peak memory is one chunk.
+/// Schemas with no token-reading column intern nothing.
 fn intern_tokens(
     a: &Relation,
     b: &Relation,
@@ -110,7 +116,6 @@ fn intern_tokens(
     if token_specs.iter().all(Option::is_none) {
         return;
     }
-    const CHUNK: usize = 4096;
     for r in [a, b] {
         let ids: Vec<usize> = (0..r.len()).collect();
         for chunk in ids.chunks(CHUNK) {
@@ -125,7 +130,7 @@ fn intern_tokens(
 }
 
 /// Similarity vector of two profiled records under `schema` — the scoring
-/// loop behind both caches, score-identical to [`crate::pair_similarity`] on
+/// loop behind every shape, score-identical to [`crate::pair_similarity`] on
 /// the raw entities.
 fn score_profiled(
     schema: &Schema,
@@ -145,94 +150,36 @@ fn score_profiled(
         .collect()
 }
 
-/// Parses `SERD_PROFILE_BUDGET` — the maximum number of [`RecordProfile`]s
-/// the cache keeps resident. Unset, unparsable, or `0` all mean unlimited.
-fn env_profile_budget() -> Option<usize> {
-    let raw = std::env::var("SERD_PROFILE_BUDGET").ok()?;
-    match raw.trim().parse::<usize>() {
-        Ok(0) => None,
-        Ok(n) => Some(n),
-        Err(_) => {
-            obs::diag(&format!(
-                "SERD_PROFILE_BUDGET={raw:?} is not a number; profile cache unbounded"
-            ));
-            None
-        }
-    }
+/// Similarity vectors of `pairs` (indices into `a` and `b`), in order,
+/// without keeping profiles: each pair profiles its two records with
+/// [`profile_record`], scores them, and drops the profiles. This is the shape
+/// for pairs known up front and scored once each — fit's matches, which are
+/// 1:1, and a few hundred sampled non-matches — so its memory is the
+/// interner, not a profile per record. Scores are bit-identical to
+/// [`ProfileCache::pair_similarity`]: token ids come from the same
+/// [`intern_tokens`] pass, and the specs lack only the blocking grams, which
+/// no score reads.
+pub(crate) fn score_pairs(a: &Relation, b: &Relation, pairs: &[(usize, usize)]) -> Vec<Vec<f64>> {
+    let specs = profile_specs(a.schema(), None);
+    let mut interner = TokenInterner::new();
+    intern_tokens(a, b, &specs, &mut interner);
+    parallel::par_map(pairs, |&(i, j)| {
+        let (ea, eb) = (a.entity(i), b.entity(j));
+        let pa = profile_record(ea, &specs, &interner);
+        let pb = profile_record(eb, &specs, &interner);
+        score_profiled(a.schema(), ea, &pa, eb, &pb, &interner)
+    })
 }
 
-/// Cache key: `(side, record id)` with side 0 = A, 1 = B.
-type SlotKey = (u8, usize);
-
-/// The bounded store's LRU state. Recency stamps come from a logical clock;
-/// the heap holds `(stamp, key)` entries, lazily invalidated on touch, so
-/// eviction is O(log n) amortized instead of a full scan per miss. Victims
-/// are the minimum `(stamp, key)` — least recently used, ties broken by
-/// record id — and eviction only ever costs a rebuild, never a score change.
-#[derive(Debug, Default)]
-struct Lru {
-    clock: u64,
-    map: HashMap<SlotKey, (u64, Arc<RecordProfile>)>,
-    heap: BinaryHeap<Reverse<(u64, SlotKey)>>,
-}
-
-impl Lru {
-    fn touch(&mut self, key: SlotKey) -> Option<Arc<RecordProfile>> {
-        let (stamp, prof) = self.map.get_mut(&key)?;
-        self.clock += 1;
-        *stamp = self.clock;
-        let stamped = (self.clock, key);
-        let prof = prof.clone();
-        self.heap.push(Reverse(stamped));
-        Some(prof)
-    }
-
-    fn insert(&mut self, key: SlotKey, prof: Arc<RecordProfile>, budget: usize) {
-        self.clock += 1;
-        self.map.insert(key, (self.clock, prof));
-        self.heap.push(Reverse((self.clock, key)));
-        while self.map.len() > budget.max(1) {
-            let Some(Reverse((stamp, victim))) = self.heap.pop() else {
-                break;
-            };
-            // Stale heap entries (the key was touched since) are skipped.
-            if self.map.get(&victim).is_some_and(|(s, _)| *s == stamp) {
-                self.map.remove(&victim);
-            }
-        }
-    }
-}
-
-/// Where the profiles live: every record resident (the default — exactly the
-/// layout that existed before budgets), or an LRU of at most `budget`
-/// records, rebuilt on miss through the read-only interner.
-#[derive(Debug)]
-enum Store {
-    Resident {
-        a: Vec<RecordProfile>,
-        b: Vec<RecordProfile>,
-    },
-    Bounded {
-        budget: usize,
-        n_a: usize,
-        n_b: usize,
-        lru: Mutex<Lru>,
-    },
-}
-
-/// A bulk profile cache over the two relations of a dataset. All profiles
-/// share one interner, so any A-record may be compared with any B-record.
-///
-/// Under `SERD_PROFILE_BUDGET` (or [`ProfileCache::build_with_budget`]) the
-/// cache holds at most that many profiles resident, evicting LRU-first;
-/// misses rebuild through the same read-only interning as the resident
-/// build, against the interner completed at build time, so scores stay
-/// bit-identical to the unbounded cache (DESIGN.md §13).
+/// A bulk profile cache over the two relations of a dataset, every record
+/// resident, for random access: pairs that are not known up front or that
+/// revisit records. All profiles share one interner, so any A-record may be
+/// compared with any B-record.
 #[derive(Debug)]
 pub struct ProfileCache {
     ctx: SimContext,
-    specs: Vec<Option<ProfileSpec>>,
-    store: Store,
+    a: Vec<RecordProfile>,
+    b: Vec<RecordProfile>,
 }
 
 impl ProfileCache {
@@ -240,44 +187,19 @@ impl ProfileCache {
     /// tokens are interned first, serially ([`intern_tokens`]), so token ids
     /// are a pure function of the data — independent of thread count; then
     /// every record's profiles are built over the worker pool, one
-    /// `par_map` per relation. Honors `SERD_PROFILE_BUDGET` (default:
-    /// unlimited).
+    /// `par_map` per relation.
     pub fn build(a: &Relation, b: &Relation, block_q: usize) -> ProfileCache {
-        ProfileCache::build_with_budget(a, b, block_q, env_profile_budget())
-    }
-
-    /// [`ProfileCache::build`] with an explicit residency budget. The
-    /// interning pass always covers the full corpus in the same serial
-    /// order, so token ids — and therefore every score — are identical at
-    /// any budget; the budget only bounds how many finished profiles stay
-    /// resident at once.
-    pub fn build_with_budget(
-        a: &Relation,
-        b: &Relation,
-        block_q: usize,
-        budget: Option<usize>,
-    ) -> ProfileCache {
         let _span = obs::span("sim.profile_build");
         let specs = profile_specs(a.schema(), Some(block_q));
         let mut ctx = SimContext::new();
         intern_tokens(a, b, &specs, ctx.interner_mut());
-        let store = match budget.filter(|&bud| bud < a.len() + b.len()) {
-            Some(budget) => Store::Bounded {
-                budget,
-                n_a: a.len(),
-                n_b: b.len(),
-                lru: Mutex::new(Lru::default()),
-            },
-            None => {
-                let interner = ctx.interner();
-                let all = |r: &Relation| {
-                    let ids: Vec<usize> = (0..r.len()).collect();
-                    parallel::par_map(&ids, |&i| profile_record(r.entity(i), &specs, interner))
-                };
-                Store::Resident { a: all(a), b: all(b) }
-            }
+        let interner = ctx.interner();
+        let all = |r: &Relation| {
+            let ids: Vec<usize> = (0..r.len()).collect();
+            parallel::par_map(&ids, |&i| profile_record(r.entity(i), &specs, interner))
         };
-        ProfileCache { ctx, specs, store }
+        let (a, b) = (all(a), all(b));
+        ProfileCache { ctx, a, b }
     }
 
     /// The shared token interner.
@@ -285,58 +207,13 @@ impl ProfileCache {
         self.ctx.interner()
     }
 
-    /// The A and B profiles, each indexed like its relation, when every
-    /// record is resident; `None` under a residency budget, where profiles
-    /// exist only on demand inside [`ProfileCache::pair_similarity`].
-    pub fn resident_profiles(&self) -> Option<(&[RecordProfile], &[RecordProfile])> {
-        match &self.store {
-            Store::Resident { a, b } => Some((a, b)),
-            Store::Bounded { .. } => None,
-        }
-    }
-
-    /// Number of profiles currently resident.
-    pub fn resident(&self) -> usize {
-        match &self.store {
-            Store::Resident { a, b } => a.len() + b.len(),
-            Store::Bounded { lru, .. } => lru.lock().expect("profile LRU poisoned").map.len(),
-        }
-    }
-
-    /// The residency budget, if one is in effect.
-    pub fn budget(&self) -> Option<usize> {
-        match &self.store {
-            Store::Resident { .. } => None,
-            Store::Bounded { budget, .. } => Some(*budget),
-        }
-    }
-
-    /// The profile at `key` in a bounded store's LRU, getting or rebuilding
-    /// it. `entity` must be that record.
-    fn fetch(
-        &self,
-        lru: &Mutex<Lru>,
-        budget: usize,
-        key: SlotKey,
-        entity: &Entity,
-    ) -> Arc<RecordProfile> {
-        if let Some(hit) = lru.lock().expect("profile LRU poisoned").touch(key) {
-            return hit;
-        }
-        // Miss: rebuild outside the lock. Two threads racing on the same
-        // record both produce identical profiles; last insert wins.
-        let prof = Arc::new(profile_record(entity, &self.specs, self.ctx.interner()));
-        let mut lru = lru.lock().expect("profile LRU poisoned");
-        lru.insert(key, prof.clone(), budget);
-        if obs::enabled() {
-            obs::gauge("simcache.resident", lru.map.len() as f64);
-        }
-        prof
+    /// The A and B profiles, each indexed like its relation.
+    pub fn profiles(&self) -> (&[RecordProfile], &[RecordProfile]) {
+        (&self.a, &self.b)
     }
 
     /// Similarity vector of `a[i]` vs `b[j]` through the cached profiles —
-    /// score-identical to [`crate::pair_similarity`] on the raw entities,
-    /// with or without a residency budget.
+    /// score-identical to [`crate::pair_similarity`] on the raw entities.
     pub fn pair_similarity(
         &self,
         schema: &Schema,
@@ -345,16 +222,7 @@ impl ProfileCache {
         eb: &Entity,
         j: usize,
     ) -> Vec<f64> {
-        let interner = self.ctx.interner();
-        match &self.store {
-            Store::Resident { a, b } => score_profiled(schema, ea, &a[i], eb, &b[j], interner),
-            Store::Bounded { budget, n_a, n_b, lru } => {
-                assert!(i < *n_a && j < *n_b, "pair ({i}, {j}) out of range");
-                let pa = self.fetch(lru, *budget, (0, i), ea);
-                let pb = self.fetch(lru, *budget, (1, j), eb);
-                score_profiled(schema, ea, &pa, eb, &pb, interner)
-            }
-        }
+        score_profiled(schema, ea, &self.a[i], eb, &self.b[j], self.ctx.interner())
     }
 }
 
@@ -511,73 +379,89 @@ mod tests {
             r
         };
         let (a, b) = (rel("A", "adaptive query processing"), rel("B", "adaptive query evaluation"));
-        for budget in [None, Some(1)] {
-            let cache = ProfileCache::build_with_budget(&a, &b, 3, budget);
-            assert!(cache.interner().is_empty(), "budget {budget:?}");
-            let fast = cache.pair_similarity(a.schema(), a.entity(0), 0, b.entity(0), 0);
-            assert_eq!(fast, pair_similarity(a.schema(), a.entity(0), b.entity(0)));
-        }
+        let cache = ProfileCache::build(&a, &b, 3);
+        assert!(cache.interner().is_empty());
+        let fast = cache.pair_similarity(a.schema(), a.entity(0), 0, b.entity(0), 0);
+        assert_eq!(fast, pair_similarity(a.schema(), a.entity(0), b.entity(0)));
+        assert_eq!(score_pairs(&a, &b, &[(0, 0)]), vec![fast]);
     }
 
-    #[test]
-    fn bounded_cache_scores_match_resident_bit_for_bit() {
-        let a = rel("A", &[
-            ("adaptable query optimization", "kossmann, stocker", 2000.0),
-            ("generalised hash teams", "kemper", 1999.0),
-            ("finding frequent items", "cormode, muthukrishnan", 2005.0),
-        ]);
-        let b = rel("B", &[
-            ("adaptable query optimization", "d. kossmann, k. stocker", 2000.0),
-            ("finding frequent elements", "cormode", 2003.0),
-        ]);
-        let resident = ProfileCache::build_with_budget(&a, &b, 3, None);
-        // A budget of 2 forces evictions on every pair (each pair needs 2
-        // slots and the scan below cycles through 5 records).
-        let bounded = ProfileCache::build_with_budget(&a, &b, 3, Some(2));
-        assert!(resident.resident_profiles().is_some());
-        assert!(bounded.resident_profiles().is_none());
-        assert_eq!(bounded.budget(), Some(2));
-        // The interner is identical: ids were assigned by the same serial
-        // pass regardless of budget.
-        assert_eq!(resident.interner().len(), bounded.interner().len());
-        for id in 0..resident.interner().len() as u32 {
-            assert_eq!(resident.interner().text(id), bounded.interner().text(id));
-        }
-        for i in 0..a.len() {
-            for j in 0..b.len() {
-                let full = resident.pair_similarity(a.schema(), a.entity(i), i, b.entity(j), j);
-                let tight = bounded.pair_similarity(a.schema(), a.entity(i), i, b.entity(j), j);
-                let full_bits: Vec<u64> = full.iter().map(|v| v.to_bits()).collect();
-                let tight_bits: Vec<u64> = tight.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(full_bits, tight_bits, "pair ({i}, {j})");
-                assert!(bounded.resident() <= 2, "budget exceeded at pair ({i}, {j})");
+    /// `n` records over [`schema`] from a small vocabulary, so records share
+    /// tokens and grams; every fifth record has a null, in a column that
+    /// cycles through the schema.
+    fn varied(name: &str, n: usize, salt: usize) -> Relation {
+        const WORDS: [&str; 8] =
+            ["adaptive", "query", "processing", "hash", "teams", "frequent", "items", "streams"];
+        let mut r = Relation::new(name, schema());
+        for k in 0..n {
+            let w = |o: usize| WORDS[(k * 3 + o + salt) % WORDS.len()];
+            let title = format!("{} {} {}", w(0), w(1), w(k % 5));
+            let authors = format!("{}, {}", w(2), w(4));
+            let mut row = vec![
+                Value::Text(title.clone()),
+                Value::Text(authors.clone()),
+                Value::Numeric(1990.0 + (k % 13) as f64),
+                Value::Text(title.clone()),
+                Value::Text(authors),
+                Value::Text(title),
+            ];
+            if k % 5 == 0 {
+                let c = k / 5 % row.len();
+                row[c] = Value::Null;
             }
+            r.push(row).unwrap();
         }
+        r
     }
 
     #[test]
-    fn bounded_eviction_is_lru_by_recency() {
-        let a = rel("A", &[
-            ("alpha one", "x", 1.0),
-            ("beta two", "y", 2.0),
-            ("gamma three", "z", 3.0),
-        ]);
-        let b = rel("B", &[("alpha won", "x", 1.0)]);
-        let cache = ProfileCache::build_with_budget(&a, &b, 3, Some(2));
-        // Touch A0+B0, then A1+B0 (A0 evicted), then A2+B0 (A1 evicted):
-        // residency never exceeds the budget and every score still works.
-        for i in 0..a.len() {
-            cache.pair_similarity(a.schema(), a.entity(i), i, b.entity(0), 0);
-            assert!(cache.resident() <= 2);
-        }
-    }
+    fn pairwise_extraction_matches_the_resident_cache_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const SEED: u64 = 5;
+        const NEG: usize = 300;
+        let n = 90;
+        // Two of every three pairs match, so every record is in ~60 matches
+        // and the pool's workers profile the same records concurrently.
+        let matches: Vec<(usize, usize)> = (0..n)
+            .flat_map(|i| (0..n).map(move |j| (i, j)))
+            .filter(|&(i, j)| (i + 2 * j) % 3 != 0)
+            .collect();
+        let er = crate::ErDataset::new(varied("A", n, 0), varied("B", n, 3), matches).unwrap();
+        let (a, b) = (er.a(), er.b());
 
-    #[test]
-    fn budget_at_or_above_corpus_size_stays_resident() {
-        let a = rel("A", &[("alpha", "x", 1.0)]);
-        let b = rel("B", &[("beta", "y", 2.0)]);
-        assert!(ProfileCache::build_with_budget(&a, &b, 3, Some(2)).resident_profiles().is_some());
-        assert!(ProfileCache::build_with_budget(&a, &b, 3, Some(1)).resident_profiles().is_none());
+        // Reference: the same pairs through a resident cache — the sorted
+        // matches, then the negatives one sampling call draws at the seed.
+        let bits = |vs: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            vs.iter().map(|v| v.iter().map(|x| x.to_bits()).collect()).collect()
+        };
+        let cache = ProfileCache::build(a, b, blocking::DEFAULT_BLOCK_Q);
+        let resident = |pairs: &[(usize, usize)]| -> Vec<Vec<f64>> {
+            pairs
+                .iter()
+                .map(|&(i, j)| cache.pair_similarity(a.schema(), a.entity(i), i, b.entity(j), j))
+                .collect()
+        };
+        let mut pos_pairs: Vec<(usize, usize)> = er.matches().iter().copied().collect();
+        pos_pairs.sort_unstable();
+        let mut rng = StdRng::seed_from_u64(SEED);
+        let neg_pairs = er.sample_nonmatch_pairs(NEG, &mut rng);
+        assert_eq!(neg_pairs.len(), NEG);
+        let want_pos = bits(&resident(&pos_pairs));
+        let want_neg = bits(&resident(&neg_pairs));
+        let want_next = rng.gen::<u64>();
+
+        for threads in [1, 2, 8] {
+            let (sv, next) =
+                parallel::with_pool(std::sync::Arc::new(parallel::ThreadPool::new(threads)), || {
+                    let mut rng = StdRng::seed_from_u64(SEED);
+                    let sv = er.similarity_vectors(NEG, &mut rng);
+                    (sv, rng.gen::<u64>())
+                });
+            assert!(bits(&sv.pos) == want_pos, "X+ differs at {threads} threads");
+            assert!(bits(&sv.neg) == want_neg, "X- differs at {threads} threads");
+            assert_eq!(next, want_next, "RNG stream differs at {threads} threads");
+        }
     }
 
     #[test]

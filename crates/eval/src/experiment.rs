@@ -8,22 +8,21 @@ use rand::Rng;
 /// Builds a labeled feature set from an ER dataset: one vector per matching
 /// pair plus `neg_ratio × |M|` sampled non-matching pairs (blocked hard
 /// negatives + uniform random, mirroring standard Magellan/Deepmatcher
-/// training-set construction).
+/// training-set construction). These are fit's X+ and X− at a larger sample
+/// ([`ErDataset::similarity_vectors`]), so no profile cache is built.
 pub fn labeled_vectors<R: Rng>(
     er: &ErDataset,
     neg_ratio: usize,
     rng: &mut R,
 ) -> LabeledVectors {
-    let mut data = LabeledVectors::default();
-    // Sorted: the match set's hash order varies from run to run.
-    let mut matches: Vec<(usize, usize)> = er.matches().iter().copied().collect();
-    matches.sort_unstable();
-    for (i, j) in matches {
-        data.push(er.similarity_vector(i, j), true);
-    }
     let n_neg = er.num_matches().max(1) * neg_ratio.max(1);
-    for (i, j) in er.sample_nonmatch_pairs(n_neg, rng) {
-        data.push(er.similarity_vector(i, j), false);
+    let sv = er.similarity_vectors(n_neg, rng);
+    let mut data = LabeledVectors::default();
+    for v in sv.pos {
+        data.push(v, true);
+    }
+    for v in sv.neg {
+        data.push(v, false);
     }
     data
 }
@@ -171,6 +170,37 @@ mod tests {
         assert_eq!(pos, sim.er.num_matches());
         assert!(data.len() - pos <= 3 * pos);
         assert!(data.len() - pos >= pos); // got a reasonable negative pool
+    }
+
+    #[test]
+    fn labeled_vectors_score_the_sorted_matches_then_the_sampled_negatives() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(3);
+        let sim = generate(DatasetKind::DblpAcm, 0.03, &mut rng);
+        let er = &sim.er;
+        let data = labeled_vectors(er, 4, &mut StdRng::seed_from_u64(9));
+
+        // The same pairs scored one at a time through the resident cache.
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut matches: Vec<(usize, usize)> = er.matches().iter().copied().collect();
+        matches.sort_unstable();
+        let negs = er.sample_nonmatch_pairs(4 * er.num_matches(), &mut rng);
+        let mut want = LabeledVectors::default();
+        for (i, j) in matches {
+            want.push(er.similarity_vector(i, j), true);
+        }
+        for (i, j) in negs {
+            want.push(er.similarity_vector(i, j), false);
+        }
+        let bits = |d: &LabeledVectors| -> Vec<Vec<u64>> {
+            d.x.iter().map(|v| v.iter().map(|x| x.to_bits()).collect()).collect()
+        };
+        assert!(bits(&data) == bits(&want), "vectors differ from the resident cache's");
+        assert_eq!(data.y, want.y);
+        // Both consumed the same draws.
+        let mut after = StdRng::seed_from_u64(9);
+        let _ = labeled_vectors(er, 4, &mut after);
+        assert_eq!(after.gen::<u64>(), rng.gen::<u64>());
     }
 
     #[test]

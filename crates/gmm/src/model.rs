@@ -152,6 +152,14 @@ fn e_step(
     (stats, ll, worst)
 }
 
+/// Publishes one EM run's per-iteration log-likelihood as the
+/// `em.loglik.g<g>` series, under the calling thread's innermost span.
+fn publish_loglik(g: usize, trace: &[f64]) {
+    if obs::enabled() {
+        obs::series_extend(&format!("em.loglik.g{g}"), trace);
+    }
+}
+
 /// Hyperparameters for GMM fitting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GmmConfig {
@@ -201,16 +209,20 @@ impl Gmm {
         rng: &mut R,
     ) -> Result<Gmm> {
         let rows = flatten(data)?;
-        Gmm::fit_points(Points::new(&rows, data.len()), g, config, rng)
+        let (model, trace) = Gmm::fit_points(Points::new(&rows, data.len()), g, config, rng)?;
+        publish_loglik(model.weights.len(), &trace);
+        Ok(model)
     }
 
-    /// [`Gmm::fit`] over validated, flattened points.
+    /// [`Gmm::fit`] over validated, flattened points. Also returns the
+    /// per-iteration mean log-likelihood (empty when obs is off), for the
+    /// caller to publish with [`publish_loglik`].
     fn fit_points<R: Rng + ?Sized>(
         points: Points<'_>,
         g: usize,
         config: &GmmConfig,
         rng: &mut R,
-    ) -> Result<Gmm> {
+    ) -> Result<(Gmm, Vec<f64>)> {
         let d = points.d;
         let g = g.max(1);
         if points.n < g {
@@ -226,9 +238,9 @@ impl Gmm {
 
         let mut prev_ll = f64::NEG_INFINITY;
         let mut stats = SuffStats::zeros(g, d);
-        // Per-iteration log-likelihood trajectory, buffered locally so that
-        // concurrent fits (the AIC sweep) publish one series each instead of
-        // interleaving nondeterministically.
+        // Per-iteration log-likelihood trajectory, returned rather than
+        // published: a fit may run on a pool worker, whose span stack is
+        // empty (the AIC sweep publishes on its own thread).
         let mut ll_trace: Vec<f64> = Vec::new();
         for _ in 0..config.max_iters {
             // E-step: responsibilities + log-likelihood, folded into stats.
@@ -263,14 +275,14 @@ impl Gmm {
             }
             prev_ll = ll;
         }
-        obs::series_extend(&format!("em.loglik.g{g}"), &ll_trace);
 
-        Ok(Gmm {
+        let model = Gmm {
             weights,
             components,
             stats,
             reg_covar: config.reg_covar,
-        })
+        };
+        Ok((model, ll_trace))
     }
 
     /// Fits mixtures with `g = 1..=config.max_components` and returns the one
@@ -295,22 +307,27 @@ impl Gmm {
         let fits = parallel::par_map(&candidates, |&g| {
             let mut grng =
                 StdRng::seed_from_u64(parallel::split_seed(master, g as u64));
-            Gmm::fit_points(points, g, config, &mut grng)
-                .ok()
-                .map(|model| (model.aic_from(model.sum_log_pdf(points.iter())), model, g))
+            Gmm::fit_points(points, g, config, &mut grng).ok().map(|(model, trace)| {
+                (model.aic_from(model.sum_log_pdf(points.iter())), model, g, trace)
+            })
         });
         let mut best: Option<(f64, Gmm, usize)> = None;
-        for fit in fits.into_iter().flatten() {
+        for (aic, model, g, trace) in fits.into_iter().flatten() {
+            // Published here, on the calling thread in ascending g, so every
+            // series sits under `gmm.fit_auto` whichever thread ran its fit.
+            publish_loglik(g, &trace);
             // Strict `<` keeps the smallest g on AIC ties, as before.
-            if best.as_ref().map_or(true, |(b, _, _)| fit.0 < *b) {
-                best = Some(fit);
+            if best.as_ref().map_or(true, |(b, _, _)| aic < *b) {
+                best = Some((aic, model, g));
             }
         }
         let picked = match best {
             Some((_, m, g)) => (m, g),
             None => {
                 // Fall back to a single component (possible when data is tiny).
-                (Gmm::fit_points(points, 1, config, rng)?, 1)
+                let (model, trace) = Gmm::fit_points(points, 1, config, rng)?;
+                publish_loglik(1, &trace);
+                (model, 1)
             }
         };
         // A histogram (not a gauge) so both the M- and N-side sweeps of one

@@ -85,6 +85,7 @@ fn json_run_report_covers_every_stage_and_recording_is_inert() {
     // Metrics recorded by each subsystem.
     for metric in [
         "reduction_ratio",      // er-core blocking
+        "blocking.pair_completeness", // planted matches among fit's blocked candidates
         "pairs_per_sec",        // similarity-vector extraction
         "em.loglik",            // gmm EM per-iteration log-likelihood
         "aic_chosen_g",         // gmm AIC-selected component count
