@@ -218,16 +218,22 @@ fn csv_err(ctx: &str, e: ErError) -> io::Error {
 
 /// Ingests a directory in [`export_dir`]'s layout (which is also the CLI
 /// `generate` layout) back into a [`SimulatedDataset`], streaming both CSVs
-/// record-by-record — the read side of the 10⁶-entity path.
+/// record-by-record — the read side of the 10⁶-entity path. A.csv and B.csv
+/// are independent files, so they are read concurrently over the worker
+/// pool; each is still parsed in file order, so the relations do not depend
+/// on the thread count. Runs under an `ingest` span that counts the rows and
+/// matches read.
 pub fn ingest_dir(kind: DatasetKind, dir: &Path) -> io::Result<SimulatedDataset> {
+    let _span = obs::span("ingest");
     let (name_a, name_b) = relation_names(kind);
-    let read_rel = |file: &str, name: &str| -> io::Result<Relation> {
+    let read_rel = |&(file, name): &(&str, &str)| -> io::Result<Relation> {
         let src = io::BufReader::new(std::fs::File::open(dir.join(file))?);
         er_core::csv::read_relation_csv(name, schema_of(kind), src)
             .map_err(|e| csv_err(file, e))
     };
-    let a = read_rel("A.csv", name_a)?;
-    let b = read_rel("B.csv", name_b)?;
+    let mut rels = parallel::par_map(&[("A.csv", name_a), ("B.csv", name_b)], read_rel).into_iter();
+    let a = rels.next().expect("one result per file")?;
+    let b = rels.next().expect("one result per file")?;
 
     let src = io::BufReader::new(std::fs::File::open(dir.join("matches.csv"))?);
     let mut reader = CsvReader::new(src);
@@ -277,6 +283,9 @@ pub fn ingest_dir(kind: DatasetKind, dir: &Path) -> io::Result<SimulatedDataset>
             ),
         ));
     }
+    obs::counter("ingest.rows_a", a.len() as u64);
+    obs::counter("ingest.rows_b", b.len() as u64);
+    obs::counter("ingest.matches", matches.len() as u64);
     // finalize re-syncs numeric/date ranges from the ingested data, exactly
     // like the resident simulators.
     Ok(finalize(kind, a, b, matches, background))

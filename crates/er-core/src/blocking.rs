@@ -13,7 +13,8 @@ use crate::simcache::{ProfileCache, RecordProfile};
 use crate::{ColumnType, Relation, Schema};
 use similarity::block_gram_hashes;
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Gram length the pipeline blocks at (and profile caches precompute
 /// blocking keys for).
@@ -25,9 +26,9 @@ pub const DEFAULT_BLOCK_Q: usize = 3;
 ///
 /// `max_bucket` caps the number of entities per gram bucket on each side;
 /// larger buckets are truncated (standard blocking practice — ubiquitous
-/// grams carry no signal). The index is sharded by `gram_hash % S`, one
-/// shard per worker-pool thread; the candidate set is bit-identical at any
-/// shard or thread count.
+/// grams carry no signal). The index is sharded by gram hash into `S`
+/// ranges ([`shard_of`]), one shard per worker-pool thread; the candidate
+/// set is bit-identical at any shard or thread count.
 pub fn candidate_pairs(
     a: &Relation,
     b: &Relation,
@@ -173,20 +174,51 @@ fn profiled_grams<'p>(
         .collect()
 }
 
+/// The hasher of the blocking index. Its keys are already FNV-1a gram
+/// digests, so one folded multiply (the 128-bit product's halves XORed)
+/// spreads them over the table, high bits into low ones. Unlike the default
+/// SipHash it is unseeded, so a party who picked the strings could force
+/// collisions; blocking only ever indexes the data owner's own relations and
+/// S3's synthesized ones.
+#[derive(Default)]
+struct GramHasher(u64);
+
+impl Hasher for GramHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let p = u128::from(key) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (p as u64) ^ ((p >> 64) as u64);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+}
+
+/// One shard of one side's blocking index: gram digest → record ids.
+type GramIndex = HashMap<u64, Vec<usize>, BuildHasherDefault<GramHasher>>;
+
+/// The shard of gram hash `g` among `shards`: the range of `shards` equal
+/// parts of the `u64` line that holds `g`, found with one multiply instead
+/// of the 64-bit division `g % shards` costs on every gram of every record.
+fn shard_of(g: u64, shards: u64) -> u64 {
+    ((u128::from(g) * u128::from(shards)) >> 64) as u64
+}
+
 /// One shard of a side's blocking index: only grams with
-/// `hash % shards == shard`. Record ids arrive in increasing order, so
-/// per-gram buckets are identical to the monolithic index's — the bucket
+/// `shard_of(hash, shards) == shard`. Record ids arrive in increasing order,
+/// so per-gram buckets are identical to the monolithic index's — the bucket
 /// cap truncates the same ids no matter how grams are partitioned.
-fn shard_index(
-    grams: &[Grams<'_>],
-    shard: u64,
-    shards: u64,
-    max_bucket: usize,
-) -> HashMap<u64, Vec<usize>> {
-    let mut index: HashMap<u64, Vec<usize>> = HashMap::new();
+fn shard_index(grams: &[Grams<'_>], shard: u64, shards: u64, max_bucket: usize) -> GramIndex {
+    let mut index = GramIndex::default();
     for (id, gs) in grams.iter().enumerate() {
         for &g in gs.iter() {
-            if g % shards != shard {
+            if shard_of(g, shards) != shard {
                 continue;
             }
             let bucket = index.entry(g).or_default();
@@ -201,23 +233,20 @@ fn shard_index(
 }
 
 /// Joins one shard's two side indexes into sorted, deduplicated pairs
-/// (sorted so candidate order doesn't leak hash-iteration order).
-fn join_indexes(
-    ia: &HashMap<u64, Vec<usize>>,
-    ib: &HashMap<u64, Vec<usize>>,
-) -> Vec<(usize, usize)> {
-    let mut seen: HashSet<(usize, usize)> = HashSet::new();
+/// (sorted so candidate order doesn't leak hash-iteration order). A pair
+/// that shares several grams is pushed once per gram; one sort and dedup
+/// of the whole list removes the repeats.
+fn join_indexes(ia: &GramIndex, ib: &GramIndex) -> Vec<(usize, usize)> {
+    let mut out: Vec<(usize, usize)> = Vec::new();
     for (g, ids_a) in ia {
         if let Some(ids_b) = ib.get(g) {
             for &i in ids_a {
-                for &j in ids_b {
-                    seen.insert((i, j));
-                }
+                out.extend(ids_b.iter().map(|&j| (i, j)));
             }
         }
     }
-    let mut out: Vec<(usize, usize)> = seen.into_iter().collect();
     out.sort_unstable();
+    out.dedup();
     out
 }
 
@@ -242,11 +271,11 @@ fn sharded_join(
         let ib = shard_index(grams_b, s, shards, max_bucket);
         join_indexes(&ia, &ib)
     });
-    // A pair can surface from several shards (one per shared gram): dedup
-    // across shards, then sort for a canonical order.
-    let seen: HashSet<(usize, usize)> = per_shard.into_iter().flatten().collect();
-    let mut out: Vec<(usize, usize)> = seen.into_iter().collect();
+    // A pair can surface from several shards (one per shared gram): sort
+    // the shards' lists together for a canonical order, then dedup.
+    let mut out = per_shard.concat();
     out.sort_unstable();
+    out.dedup();
     out
 }
 

@@ -3,12 +3,12 @@
 //! Hand-rolled on purpose: the workspace's dependency policy keeps the tree
 //! small, and the pipeline only needs rectangular string records.
 //!
-//! The grammar lives in one place — [`Machine`], a character-at-a-time state
-//! machine with no lookahead — so the in-memory [`parse`] and the streaming
-//! [`CsvReader`] cannot disagree. [`CsvReader`] pulls one record at a time
-//! from any [`BufRead`], and [`CsvWriter`] pushes records to any
-//! [`io::Write`], so million-row relations never materialize as a single
-//! `String` (DESIGN.md §13).
+//! The grammar lives in one place — [`Machine`], a state machine with no
+//! lookahead that consumes a whole run of ordinary bytes per step — so the
+//! in-memory [`parse`] and the streaming [`CsvReader`] cannot disagree.
+//! [`CsvReader`] pulls one record at a time from any [`BufRead`], and
+//! [`CsvWriter`] pushes records to any [`io::Write`], so million-row
+//! relations never materialize as a single `String` (DESIGN.md §13).
 
 use crate::{ColumnType, Entity, ErError, Relation, Result, Schema, Value};
 use std::io::{self, BufRead};
@@ -31,22 +31,44 @@ enum State {
     ClosedQuote,
 }
 
-/// The shared push-style CSV state machine. Feed characters with
-/// [`Machine::step`]; a `Some(record)` return means the character completed
-/// a record. Call [`Machine::finish`] exactly once at end of input to flush
-/// a final record with no trailing newline.
+/// The shared push-style CSV state machine. Feed it text with
+/// [`Machine::step`], which consumes one *token* from `text[*pos..]`: a
+/// structural byte (`,` `"` `\r` `\n`) or a whole run of ordinary bytes,
+/// appended to the field with one `push_str`. A `Some(record)` return means
+/// the token completed a record. Call [`Machine::finish`] exactly once at end
+/// of input to flush a final record with no trailing newline.
+///
+/// Every structural byte is ASCII and no UTF-8 continuation byte is, so runs
+/// end on `char` boundaries and the machine accepts exactly the records and
+/// errors of a character-at-a-time one (the `reference` machine in this
+/// module's tests pins that).
 #[derive(Debug, Default)]
 struct Machine {
     state: Option<State>,
     field: String,
     record: Vec<String>,
-    /// Any character consumed since the last completed record — i.e. a
-    /// partial record exists that [`Machine::finish`] must flush.
+    /// Any byte consumed since the last completed record — i.e. a partial
+    /// record exists that [`Machine::finish`] must flush.
     started: bool,
-    /// The previous character was a record-terminating `\r`; a directly
-    /// following `\n` belongs to the same CRLF terminator. Kept as machine
-    /// state (not lookahead) so the CRLF may straddle a read boundary.
+    /// The previous byte was a record-terminating `\r`; a directly following
+    /// `\n` belongs to the same CRLF terminator. Kept as machine state (not
+    /// lookahead) so the CRLF may straddle a read boundary.
     skip_lf: bool,
+}
+
+/// Length of the run of bytes at the start of `bytes` that an unquoted field
+/// takes as-is: everything up to the next `,` `"` `\r` or `\n`.
+fn unquoted_run(bytes: &[u8]) -> usize {
+    bytes
+        .iter()
+        .position(|&b| matches!(b, b',' | b'"' | b'\r' | b'\n'))
+        .unwrap_or(bytes.len())
+}
+
+/// Length of the run of bytes at the start of `bytes` that a quoted field
+/// takes as-is: everything up to the next `"`.
+fn quoted_run(bytes: &[u8]) -> usize {
+    bytes.iter().position(|&b| b == b'"').unwrap_or(bytes.len())
 }
 
 impl Machine {
@@ -73,59 +95,83 @@ impl Machine {
         self.state = Some(State::FieldStart);
     }
 
-    /// Consumes one character; returns a record if `c` completed one.
-    fn step(&mut self, c: char) -> Result<Option<Vec<String>>> {
-        if std::mem::take(&mut self.skip_lf) && c == '\n' {
+    /// Appends the run `text[*pos..*pos + len]` to the field.
+    fn take_run(&mut self, text: &str, pos: &mut usize, len: usize) {
+        self.field.push_str(&text[*pos..*pos + len]);
+        *pos += len;
+    }
+
+    /// Consumes one token of `text` at `*pos` (which must be `< text.len()`)
+    /// and advances `*pos` past it; returns a record if the token completed
+    /// one.
+    fn step(&mut self, text: &str, pos: &mut usize) -> Result<Option<Vec<String>>> {
+        let rest = &text.as_bytes()[*pos..];
+        let b = rest[0];
+        if std::mem::take(&mut self.skip_lf) && b == b'\n' {
+            *pos += 1;
             return Ok(None);
         }
         self.started = true;
         match self.state() {
-            State::FieldStart => match c {
-                '"' => self.state = Some(State::Quoted),
-                ',' => self.record.push(String::new()),
-                '\r' | '\n' => {
-                    self.skip_lf = c == '\r';
+            State::FieldStart => match b {
+                b'"' => self.state = Some(State::Quoted),
+                b',' => self.record.push(String::new()),
+                b'\r' | b'\n' => {
+                    *pos += 1;
+                    self.skip_lf = b == b'\r';
                     return Ok(Some(self.flush()));
                 }
                 _ => {
-                    self.field.push(c);
+                    self.take_run(text, pos, unquoted_run(rest));
                     self.state = Some(State::Unquoted);
+                    return Ok(None);
                 }
             },
-            State::Unquoted => match c {
-                '"' => {
+            State::Unquoted => match b {
+                b'"' => {
                     return Err(ErError::Csv("quote inside unquoted field".to_string()));
                 }
-                ',' => self.end_field(),
-                '\r' | '\n' => {
-                    self.skip_lf = c == '\r';
+                b',' => self.end_field(),
+                b'\r' | b'\n' => {
+                    *pos += 1;
+                    self.skip_lf = b == b'\r';
                     return Ok(Some(self.flush()));
                 }
-                _ => self.field.push(c),
+                _ => {
+                    self.take_run(text, pos, unquoted_run(rest));
+                    return Ok(None);
+                }
             },
-            State::Quoted => match c {
-                '"' => self.state = Some(State::ClosedQuote),
+            State::Quoted => match b {
+                b'"' => self.state = Some(State::ClosedQuote),
                 // Commas and newlines are literal inside quotes.
-                _ => self.field.push(c),
+                _ => {
+                    self.take_run(text, pos, quoted_run(rest));
+                    return Ok(None);
+                }
             },
-            State::ClosedQuote => match c {
-                '"' => {
+            State::ClosedQuote => match b {
+                b'"' => {
                     // Doubled quote: an escaped literal `"`.
                     self.field.push('"');
                     self.state = Some(State::Quoted);
                 }
-                ',' => self.end_field(),
-                '\r' | '\n' => {
-                    self.skip_lf = c == '\r';
+                b',' => self.end_field(),
+                b'\r' | b'\n' => {
+                    *pos += 1;
+                    self.skip_lf = b == b'\r';
                     return Ok(Some(self.flush()));
                 }
-                other => {
+                _ => {
+                    let other = text[*pos..].chars().next().expect("pos on a char boundary");
                     return Err(ErError::Csv(format!(
                         "unexpected {other:?} after closing quote"
                     )));
                 }
             },
         }
+        // Every arm that did not return consumed one ASCII structural byte.
+        *pos += 1;
         Ok(None)
     }
 
@@ -184,9 +230,7 @@ impl<R: BufRead> CsvReader<R> {
     pub fn next_record(&mut self) -> Result<Option<Vec<String>>> {
         loop {
             while self.pos < self.buf.len() {
-                let c = self.buf[self.pos..].chars().next().expect("pos on char");
-                self.pos += c.len_utf8();
-                if let Some(rec) = self.machine.step(c)? {
+                if let Some(rec) = self.machine.step(&self.buf, &mut self.pos)? {
                     return Ok(Some(rec));
                 }
             }
@@ -218,6 +262,9 @@ impl<R: BufRead> Iterator for CsvReader<R> {
                 self.eof = true;
                 self.buf.clear();
                 self.pos = 0;
+                // A finished machine, so the partial record the error cut
+                // short is not flushed as one.
+                self.machine = Machine::default();
                 Some(Err(e))
             }
         }
@@ -230,8 +277,9 @@ impl<R: BufRead> Iterator for CsvReader<R> {
 pub fn parse(text: &str) -> Result<Vec<Vec<String>>> {
     let mut machine = Machine::new();
     let mut records = Vec::new();
-    for c in text.chars() {
-        if let Some(rec) = machine.step(c)? {
+    let mut pos = 0;
+    while pos < text.len() {
+        if let Some(rec) = machine.step(text, &mut pos)? {
             records.push(rec);
         }
     }
@@ -361,7 +409,7 @@ pub fn read_relation_csv<R: BufRead>(name: &str, schema: Schema, src: R) -> Resu
             )));
         }
         let mut values = Vec::with_capacity(row.len());
-        for (c, (field, &ctype)) in row.iter().zip(&ctypes).enumerate() {
+        for (c, (field, &ctype)) in row.into_iter().zip(&ctypes).enumerate() {
             let value = coerce(field, ctype).map_err(|msg| {
                 ErError::Csv(format!("column {:?}: {msg}", rel.schema().columns()[c].name))
             })?;
@@ -377,10 +425,11 @@ pub fn relation_from_csv(name: &str, schema: Schema, text: &str) -> Result<Relat
     read_relation_csv(name, schema, text.as_bytes())
 }
 
-/// One field as a value of its column's type, or why it is not one.
-/// Numeric fields must be finite: `str::parse::<f64>` also accepts `NaN`,
-/// `inf` and `infinity`, which no column range or similarity can hold.
-fn coerce(field: &str, ctype: ColumnType) -> std::result::Result<Value, String> {
+/// One field as a value of its column's type, or why it is not one. String
+/// columns take the field itself, with no copy. Numeric fields must be
+/// finite: `str::parse::<f64>` also accepts `NaN`, `inf` and `infinity`,
+/// which no column range or similarity can hold.
+fn coerce(field: String, ctype: ColumnType) -> std::result::Result<Value, String> {
     if field.is_empty() {
         return Ok(Value::Null);
     }
@@ -398,8 +447,8 @@ fn coerce(field: &str, ctype: ColumnType) -> std::result::Result<Value, String> 
         ColumnType::Date => Value::Date(
             field.trim().parse::<i64>().map_err(|e| format!("bad date field {field:?}: {e}"))?,
         ),
-        ColumnType::Categorical => Value::Categorical(field.to_string()),
-        ColumnType::Text => Value::Text(field.to_string()),
+        ColumnType::Categorical => Value::Categorical(field),
+        ColumnType::Text => Value::Text(field),
     })
 }
 
@@ -408,6 +457,338 @@ mod tests {
     use super::*;
     use crate::Column;
     use std::io::BufReader;
+
+    /// The grammar as it was before byte runs: one `char` per step, each
+    /// pushed into the field, and a `coerce` that copies every field. The
+    /// byte-run [`Machine`] and the moving [`coerce`] must reproduce its
+    /// records, values and error messages exactly.
+    mod reference {
+        use super::super::State;
+        use crate::{ColumnType, ErError, Result, Schema, Value};
+
+        #[derive(Debug, Default)]
+        struct Machine {
+            state: Option<State>,
+            field: String,
+            record: Vec<String>,
+            started: bool,
+            skip_lf: bool,
+        }
+
+        impl Machine {
+            fn state(&self) -> State {
+                self.state.expect("machine used after finish")
+            }
+
+            fn flush(&mut self) -> Vec<String> {
+                self.record.push(std::mem::take(&mut self.field));
+                self.started = false;
+                self.state = Some(State::FieldStart);
+                std::mem::take(&mut self.record)
+            }
+
+            fn end_field(&mut self) {
+                self.record.push(std::mem::take(&mut self.field));
+                self.state = Some(State::FieldStart);
+            }
+
+            fn step(&mut self, c: char) -> Result<Option<Vec<String>>> {
+                if std::mem::take(&mut self.skip_lf) && c == '\n' {
+                    return Ok(None);
+                }
+                self.started = true;
+                match self.state() {
+                    State::FieldStart => match c {
+                        '"' => self.state = Some(State::Quoted),
+                        ',' => self.record.push(String::new()),
+                        '\r' | '\n' => {
+                            self.skip_lf = c == '\r';
+                            return Ok(Some(self.flush()));
+                        }
+                        _ => {
+                            self.field.push(c);
+                            self.state = Some(State::Unquoted);
+                        }
+                    },
+                    State::Unquoted => match c {
+                        '"' => {
+                            return Err(ErError::Csv("quote inside unquoted field".to_string()));
+                        }
+                        ',' => self.end_field(),
+                        '\r' | '\n' => {
+                            self.skip_lf = c == '\r';
+                            return Ok(Some(self.flush()));
+                        }
+                        _ => self.field.push(c),
+                    },
+                    State::Quoted => match c {
+                        '"' => self.state = Some(State::ClosedQuote),
+                        _ => self.field.push(c),
+                    },
+                    State::ClosedQuote => match c {
+                        '"' => {
+                            self.field.push('"');
+                            self.state = Some(State::Quoted);
+                        }
+                        ',' => self.end_field(),
+                        '\r' | '\n' => {
+                            self.skip_lf = c == '\r';
+                            return Ok(Some(self.flush()));
+                        }
+                        other => {
+                            return Err(ErError::Csv(format!(
+                                "unexpected {other:?} after closing quote"
+                            )));
+                        }
+                    },
+                }
+                Ok(None)
+            }
+
+            fn finish(&mut self) -> Result<Option<Vec<String>>> {
+                let Some(state) = self.state.take() else {
+                    return Ok(None);
+                };
+                match state {
+                    State::Quoted => Err(ErError::Csv("unterminated quoted field".to_string())),
+                    State::ClosedQuote => {
+                        self.record.push(std::mem::take(&mut self.field));
+                        Ok(Some(std::mem::take(&mut self.record)))
+                    }
+                    State::FieldStart | State::Unquoted => {
+                        if self.started {
+                            self.record.push(std::mem::take(&mut self.field));
+                            Ok(Some(std::mem::take(&mut self.record)))
+                        } else {
+                            Ok(None)
+                        }
+                    }
+                }
+            }
+        }
+
+        /// Every record of `text` in order, then the error that stopped the
+        /// parse, if one did.
+        pub fn records(text: &str) -> (Vec<Vec<String>>, Option<ErError>) {
+            let mut m = Machine {
+                state: Some(State::FieldStart),
+                ..Machine::default()
+            };
+            let mut out = Vec::new();
+            for c in text.chars() {
+                match m.step(c) {
+                    Ok(Some(rec)) => out.push(rec),
+                    Ok(None) => {}
+                    Err(e) => return (out, Some(e)),
+                }
+            }
+            match m.finish() {
+                Ok(rec) => out.extend(rec),
+                Err(e) => return (out, Some(e)),
+            }
+            (out, None)
+        }
+
+        fn coerce(field: &str, ctype: ColumnType) -> std::result::Result<Value, String> {
+            if field.is_empty() {
+                return Ok(Value::Null);
+            }
+            Ok(match ctype {
+                ColumnType::Numeric => {
+                    let x = field
+                        .trim()
+                        .parse::<f64>()
+                        .map_err(|e| format!("bad numeric field {field:?}: {e}"))?;
+                    if !x.is_finite() {
+                        return Err(format!("non-finite numeric field {field:?}"));
+                    }
+                    Value::Numeric(x)
+                }
+                ColumnType::Date => Value::Date(
+                    field
+                        .trim()
+                        .parse::<i64>()
+                        .map_err(|e| format!("bad date field {field:?}: {e}"))?,
+                ),
+                ColumnType::Categorical => Value::Categorical(field.to_string()),
+                ColumnType::Text => Value::Text(field.to_string()),
+            })
+        }
+
+        /// The rows `read_relation_csv` built from `text` before byte runs,
+        /// or its error.
+        pub fn relation(schema: &Schema, text: &str) -> Result<Vec<Vec<Value>>> {
+            let (records, err) = records(text);
+            let mut records = records.into_iter();
+            let Some(header) = records.next() else {
+                return err.map_or(Ok(Vec::new()), Err);
+            };
+            if header.len() != schema.len() {
+                return Err(ErError::Csv(format!(
+                    "header has {} fields, schema has {} columns",
+                    header.len(),
+                    schema.len()
+                )));
+            }
+            for (i, (found, col)) in header.iter().zip(schema.columns()).enumerate() {
+                if *found != col.name {
+                    return Err(ErError::Csv(format!(
+                        "header field {i} is {found:?}, schema expects {:?}",
+                        col.name
+                    )));
+                }
+            }
+            let mut rows = Vec::new();
+            for row in records {
+                if row.len() != schema.len() {
+                    return Err(ErError::Csv(format!(
+                        "row has {} fields, schema has {} columns",
+                        row.len(),
+                        schema.len()
+                    )));
+                }
+                let mut values = Vec::new();
+                for (field, col) in row.iter().zip(schema.columns()) {
+                    let v = coerce(field, col.ctype)
+                        .map_err(|msg| ErError::Csv(format!("column {:?}: {msg}", col.name)))?;
+                    values.push(v);
+                }
+                rows.push(values);
+            }
+            err.map_or(Ok(rows), Err)
+        }
+    }
+
+    /// Checks `csv::parse` and a [`CsvReader`] refilled `cap` bytes at a time
+    /// against the reference machine on `text`: the same records, then the
+    /// same error message.
+    fn agrees_with_reference(text: &str, cap: usize) -> std::result::Result<(), String> {
+        let (want, want_err) = reference::records(text);
+        let want_err = want_err.map(|e| e.to_string());
+        let parsed = match parse(text) {
+            Ok(recs) => (recs, None),
+            Err(e) => (want.clone(), Some(e.to_string())),
+        };
+        if parsed != (want.clone(), want_err.clone()) {
+            return Err(format!("parse: {parsed:?}, reference: {want:?} {want_err:?}"));
+        }
+        let mut reader = CsvReader::new(BufReader::with_capacity(cap, text.as_bytes()));
+        let mut streamed = (Vec::new(), None);
+        for item in reader.by_ref() {
+            match item {
+                Ok(rec) => streamed.0.push(rec),
+                Err(e) => {
+                    streamed.1 = Some(e.to_string());
+                    break;
+                }
+            }
+        }
+        if let Some(after) = reader.next() {
+            return Err(format!("reader yielded {after:?} after its last item"));
+        }
+        if streamed != (want.clone(), want_err.clone()) {
+            return Err(format!("reader: {streamed:?}, reference: {want:?} {want_err:?}"));
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn byte_runs_match_the_char_machine_on_named_inputs() {
+        let inputs = [
+            "",
+            "a,b,c\n1,2,3\n",
+            "\"a,b\",\"say \"\"hi\"\"\",\"multi\nline\"\n",
+            "a,b\r\nc,d\r\n",
+            "a,b\r\n\"multi\r\nline\",\"say \"\"hi\"\"\"\r\nlast,row",
+            "\r\r\n\n\r",
+            "é,日本\n\"ü,🦀\"\"x\",ß\r\nñ",
+            "\"ab\"c",
+            "\"ab\"é",
+            "\"ab\"\"c\"",
+            "ab\"c\n",
+            "\"abc",
+            "ok,row\n\"bad",
+            "\"\"",
+            "a,\"\"",
+            "a,b\n\"\"",
+            ",,\n,",
+            "title,year\nx,1\n",
+        ];
+        for text in inputs {
+            for cap in [1, 2, 3, 7, 64] {
+                if let Err(msg) = agrees_with_reference(text, cap) {
+                    panic!("{text:?} at capacity {cap}: {msg}");
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(1024))]
+
+        /// Raw text over CSV's structural characters, plain ASCII and
+        /// multi-byte UTF-8 — most of it malformed — read through `parse`
+        /// and through tiny read buffers that split runs, quoted fields and
+        /// CRLF terminators across refills.
+        #[test]
+        fn byte_runs_match_the_char_machine(
+            text in "[ab ,\"\r\néü日🦀]{0,48}",
+            cap in 1usize..6,
+        ) {
+            if let Err(msg) = agrees_with_reference(&text, cap) {
+                proptest::prop_assert!(false, "{text:?} at capacity {cap}: {msg}");
+            }
+        }
+
+        /// `read_relation_csv` moves each field into its value and must build
+        /// the values the copying reader built — Null for empty fields,
+        /// parsed numbers and dates, refused non-finite or malformed ones —
+        /// and refuse bad headers, ragged rows and bad CSV with the same
+        /// message.
+        #[test]
+        fn relation_values_match_the_reference(
+            header in 0usize..4,
+            rows in proptest::collection::vec(
+                proptest::collection::vec(0usize..FIELDS.len(), 3..6), 0..5),
+            crlf in proptest::any::<bool>(),
+        ) {
+            let schema = Schema::new(vec![
+                Column::text("title"),
+                Column::categorical("venue"),
+                Column::numeric("year", 10.0),
+                Column::date("day", 10.0),
+            ]);
+            let headers = ["title,venue,year,day", "title,venue,year", "title,venue,yr,day",
+                "\"title\",venue,year,day"];
+            let term = if crlf { "\r\n" } else { "\n" };
+            let mut text = String::from(headers[header]);
+            for row in &rows {
+                text.push_str(term);
+                let fields: Vec<&str> = row.iter().map(|&f| FIELDS[f]).collect();
+                text.push_str(&fields.join(","));
+            }
+            let got = relation_from_csv("r", schema.clone(), &text).map(|r| {
+                r.entities().iter().map(|e| e.values().to_vec()).collect::<Vec<_>>()
+            });
+            let want = reference::relation(&schema, &text);
+            match (got, want) {
+                (Ok(got), Ok(want)) => proptest::prop_assert_eq!(got, want),
+                (Err(got), Err(want)) => {
+                    proptest::prop_assert_eq!(got.to_string(), want.to_string())
+                }
+                (got, want) => proptest::prop_assert!(false, "{text:?}: {got:?} vs {want:?}"),
+            }
+        }
+    }
+
+    /// Field spellings for [`relation_values_match_the_reference`]'s rows:
+    /// empty, numbers and dates with and without padding, non-finite and
+    /// malformed numbers, quoted text with escapes, multi-byte UTF-8 and one
+    /// unterminated quote.
+    const FIELDS: [&str; 14] = [
+        "", "2001", " 17 ", "-0", "1e3", "NaN", "inf", "x", "20x", "\"q,\"\"uo\"\"te\"",
+        "\"multi\nline\"", "é日🦀", "\"\"", "\"open",
+    ];
 
     #[test]
     fn parse_simple() {

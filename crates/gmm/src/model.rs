@@ -7,6 +7,8 @@ use crate::{log_sum_exp, GmmError, Result};
 use linalg::RowArena;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 /// Fixed E-step chunk size, in rows. A function of nothing — chunk
 /// boundaries must not depend on thread count, or the merge order (and
@@ -39,6 +41,56 @@ impl<'a> Points<'a> {
 
     fn iter(self) -> impl Iterator<Item = &'a [f64]> {
         (0..self.n).map(move |i| self.row(i))
+    }
+}
+
+/// A row compared and hashed by its bit patterns, so `0.0` and `-0.0` are
+/// different rows and a NaN equals itself.
+struct RowBits<'a>(&'a [f64]);
+
+impl PartialEq for RowBits<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.iter().map(|x| x.to_bits()).eq(other.0.iter().map(|x| x.to_bits()))
+    }
+}
+
+impl Eq for RowBits<'_> {}
+
+impl Hash for RowBits<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for x in self.0 {
+            state.write_u64(x.to_bits());
+        }
+    }
+}
+
+/// The distinct rows of a point set: similarity vectors repeat (41% of
+/// DBLP-ACM's X+ rows are distinct at 10⁵ entities), and a row's density and
+/// responsibilities are a function of its bits, so EM evaluates each distinct
+/// row once per E-step.
+struct Distinct {
+    /// Each row's slot: the rank of its first bit-equal row among the first
+    /// occurrences.
+    slot: Vec<usize>,
+    /// The row index of each slot's first occurrence, ascending.
+    firsts: Vec<usize>,
+}
+
+impl Distinct {
+    fn of(points: Points<'_>) -> Distinct {
+        let mut seen: HashMap<RowBits<'_>, usize> = HashMap::with_capacity(points.n);
+        let mut firsts = Vec::new();
+        let slot = points
+            .iter()
+            .enumerate()
+            .map(|(i, x)| {
+                *seen.entry(RowBits(x)).or_insert_with(|| {
+                    firsts.push(i);
+                    firsts.len() - 1
+                })
+            })
+            .collect();
+        Distinct { slot, firsts }
     }
 }
 
@@ -107,34 +159,46 @@ impl<'m> Evaluator<'m> {
     }
 }
 
-/// One EM E-step over `points`: per-chunk sufficient statistics,
-/// log-likelihood sums, and worst-fit points are computed independently and
-/// merged in chunk order, so the result is bit-identical at any thread count.
-/// Each chunk evaluates its points over one [`Evaluator`], so nothing is
-/// allocated per point.
+/// One EM E-step over `points`, in two passes. The first evaluates each
+/// distinct row once, writing its log-density and responsibilities into
+/// `evals` (`g + 1` values per slot). The second walks every row in row
+/// order, in `EM_CHUNK` chunks, reading its evaluation by slot: per-chunk
+/// sufficient statistics, log-likelihood sums, and worst-fit points are
+/// computed independently and merged in chunk order, so the result is
+/// bit-identical to evaluating every row, at any thread count. Each chunk
+/// evaluates its rows over one [`Evaluator`], so nothing is allocated per
+/// point.
 fn e_step(
     points: Points<'_>,
+    distinct: &Distinct,
+    evals: &mut [f64],
     components: &[Gaussian],
     weights: &[f64],
 ) -> (SuffStats, f64, (f64, usize)) {
     let (g, d) = (components.len(), points.d);
-    // Zero-sized stand-ins for the rows: `par_chunk_map` cuts them every
-    // EM_CHUNK rows, and a `Vec<()>` never allocates.
-    let marks = vec![(); points.n];
-    let partials = parallel::par_chunk_map(&marks, EM_CHUNK, |ci, chunk| {
-        let base = ci * EM_CHUNK;
+    let width = g + 1;
+    parallel::par_chunks_mut(evals, EM_CHUNK * width, |ci, out| {
         let mut eval = Evaluator::new(components, weights);
+        let firsts = &distinct.firsts[ci * EM_CHUNK..];
+        for (e, &i) in out.chunks_exact_mut(width).zip(firsts) {
+            let (norm, resp) = eval.responsibilities(points.row(i));
+            e[0] = norm;
+            e[1..].copy_from_slice(resp);
+        }
+    });
+    let evals = &*evals;
+    let partials = parallel::par_chunk_map(&distinct.slot, EM_CHUNK, |ci, slots| {
+        let base = ci * EM_CHUNK;
         let mut stats = SuffStats::zeros(g, d);
         let mut ll = 0.0;
         let mut worst: (f64, usize) = (f64::INFINITY, 0);
-        for i in base..base + chunk.len() {
-            let x = points.row(i);
-            let (norm, resp) = eval.responsibilities(x);
+        for (i, &s) in (base..).zip(slots) {
+            let (norm, resp) = (evals[s * width], &evals[s * width + 1..(s + 1) * width]);
             ll += norm;
             if norm < worst.0 {
                 worst = (norm, i);
             }
-            stats.add_point(x, resp);
+            stats.add_point(points.row(i), resp);
         }
         (stats, ll, worst)
     });
@@ -209,16 +273,18 @@ impl Gmm {
         rng: &mut R,
     ) -> Result<Gmm> {
         let rows = flatten(data)?;
-        let (model, trace) = Gmm::fit_points(Points::new(&rows, data.len()), g, config, rng)?;
+        let points = Points::new(&rows, data.len());
+        let (model, trace) = Gmm::fit_points(points, &Distinct::of(points), g, config, rng)?;
         publish_loglik(model.weights.len(), &trace);
         Ok(model)
     }
 
-    /// [`Gmm::fit`] over validated, flattened points. Also returns the
-    /// per-iteration mean log-likelihood (empty when obs is off), for the
-    /// caller to publish with [`publish_loglik`].
+    /// [`Gmm::fit`] over validated, flattened points and their distinct
+    /// rows. Also returns the per-iteration mean log-likelihood (empty when
+    /// obs is off), for the caller to publish with [`publish_loglik`].
     fn fit_points<R: Rng + ?Sized>(
         points: Points<'_>,
+        distinct: &Distinct,
         g: usize,
         config: &GmmConfig,
         rng: &mut R,
@@ -242,10 +308,11 @@ impl Gmm {
         // published: a fit may run on a pool worker, whose span stack is
         // empty (the AIC sweep publishes on its own thread).
         let mut ll_trace: Vec<f64> = Vec::new();
+        let mut evals = vec![0.0; distinct.firsts.len() * (g + 1)];
         for _ in 0..config.max_iters {
             // E-step: responsibilities + log-likelihood, folded into stats.
             // Runs chunk-parallel; see `e_step` for the determinism argument.
-            let e = e_step(points, &components, &weights);
+            let e = e_step(points, distinct, &mut evals, &components, &weights);
             stats = e.0;
             let mut ll = e.1;
             let worst = e.2;
@@ -298,16 +365,18 @@ impl Gmm {
         // initialization no longer depends on how earlier candidates consumed
         // the caller's RNG, and the sweep is reproducible at any thread count.
         let master: u64 = rng.gen();
-        // One flat copy of the rows, read by every candidate fit.
+        // One flat copy of the rows and one map of their distinct rows,
+        // read by every candidate fit.
         let rows = flatten(data)?;
         let points = Points::new(&rows, data.len());
+        let distinct = Distinct::of(points);
         let candidates: Vec<usize> = (1..=config.max_components.max(1))
             .take_while(|&g| points.n >= g.max(2))
             .collect();
         let fits = parallel::par_map(&candidates, |&g| {
             let mut grng =
                 StdRng::seed_from_u64(parallel::split_seed(master, g as u64));
-            Gmm::fit_points(points, g, config, &mut grng).ok().map(|(model, trace)| {
+            Gmm::fit_points(points, &distinct, g, config, &mut grng).ok().map(|(model, trace)| {
                 (model.aic_from(model.sum_log_pdf(points.iter())), model, g, trace)
             })
         });
@@ -325,7 +394,7 @@ impl Gmm {
             Some((_, m, g)) => (m, g),
             None => {
                 // Fall back to a single component (possible when data is tiny).
-                let (model, trace) = Gmm::fit_points(points, 1, config, rng)?;
+                let (model, trace) = Gmm::fit_points(points, &distinct, 1, config, rng)?;
                 publish_loglik(1, &trace);
                 (model, 1)
             }
@@ -720,30 +789,63 @@ mod tests {
         assert!(gmm.update_incremental::<Vec<f64>>(&[]).is_ok());
     }
 
+    /// Duplicate-heavy variants of `data`, each named: rows drawn from a few
+    /// distinct ones and interleaved so repeats straddle `EM_CHUNK`
+    /// boundaries; `0.0`/`-0.0` twins; every row equal; and `data` itself,
+    /// where (but for coincidence) no row repeats.
+    fn duplicate_cases(data: &[Vec<f64>]) -> Vec<(&'static str, Vec<Vec<f64>>)> {
+        let n = data.len();
+        let few = 37.min(n);
+        let repeats = (0..n).map(|i| data[i * 7919 % few].clone()).collect();
+        let twins = (0..n)
+            .map(|i| {
+                let mut x = data[i / 2 % few].clone();
+                x[0] = if i % 2 == 0 { 0.0 } else { -0.0 };
+                x
+            })
+            .collect();
+        vec![
+            ("repeats", repeats),
+            ("signed-zero twins", twins),
+            ("all equal", vec![data[0].clone(); n]),
+            ("no repeats", data.to_vec()),
+        ]
+    }
+
     #[test]
     fn fit_and_fit_auto_are_thread_count_independent() {
         use std::sync::Arc;
         let mut rng = StdRng::seed_from_u64(33);
-        let data = two_cluster_data(&mut rng, 500);
-        let run = |threads: usize| -> (Vec<f64>, usize) {
-            parallel::with_pool(Arc::new(parallel::ThreadPool::new(threads)), || {
-                let mut r = StdRng::seed_from_u64(99);
-                let (gmm, g) = Gmm::fit_auto(&data, &GmmConfig::default(), &mut r).unwrap();
-                let mut flat: Vec<f64> = gmm.weights().to_vec();
-                for c in gmm.components() {
-                    flat.extend_from_slice(c.mean());
-                }
-                (flat, g)
-            })
-        };
-        let (base, base_g) = run(1);
-        for threads in [2, 8] {
-            let (other, g) = run(threads);
-            assert_eq!(base_g, g);
-            assert!(
-                base.iter().zip(&other).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "fit_auto differs at {threads} threads"
-            );
+        let clusters = two_cluster_data(&mut rng, 600);
+        for (case, data) in duplicate_cases(&clusters) {
+            let run = |threads: usize| -> (Vec<f64>, usize) {
+                parallel::with_pool(Arc::new(parallel::ThreadPool::new(threads)), || {
+                    let cfg = GmmConfig::default();
+                    let mut r = StdRng::seed_from_u64(99);
+                    let (gmm, g) = Gmm::fit_auto(&data, &cfg, &mut r).unwrap();
+                    let fixed = Gmm::fit(&data, 3, &cfg, &mut r).unwrap();
+                    let mut flat: Vec<f64> = gmm.weights().to_vec();
+                    for m in [&gmm, &fixed] {
+                        flat.extend_from_slice(m.weights());
+                        for c in m.components() {
+                            flat.extend_from_slice(c.mean());
+                            flat.extend_from_slice(c.cov().as_slice());
+                        }
+                        flat.extend(stats_bits(m.stats()).into_iter().map(f64::from_bits));
+                    }
+                    (flat, g)
+                })
+            };
+            let (base, base_g) = run(1);
+            for threads in [2, 8] {
+                let (other, g) = run(threads);
+                assert_eq!(base_g, g, "{case}");
+                assert!(
+                    base.len() == other.len()
+                        && base.iter().zip(&other).all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{case}: fit or fit_auto differs at {threads} threads"
+                );
+            }
         }
     }
 
@@ -925,42 +1027,55 @@ mod tests {
         v.into_iter().map(f64::to_bits).collect()
     }
 
+    /// Every case runs on random data and on its [`duplicate_cases`], where
+    /// the E-step evaluates each distinct row once and must still match the
+    /// reference's per-row evaluation and row-order accumulation.
     #[test]
     fn e_step_and_log_likelihood_match_the_per_point_reference_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(2024);
         for g in 1..=4 {
             for d in 1..=6 {
                 for n in [1, 255, 256, 257, 1000] {
-                    let case = format!("g={g} d={d} n={n}");
                     let (components, weights, data) = random_case(&mut rng, g, d, n);
                     let dens: Vec<_> = components.iter().map(reference::density).collect();
-                    let (want_stats, want_ll, want_worst) =
-                        reference::e_step(&data, &dens, &weights, EM_CHUNK);
-                    let rows = flatten(&data).unwrap();
-                    let (stats, ll, worst) = e_step(Points::new(&rows, n), &components, &weights);
-                    assert_eq!(stats_bits(&stats), stats_bits(&want_stats), "stats, {case}");
-                    assert_eq!(ll.to_bits(), want_ll.to_bits(), "log-likelihood, {case}");
-                    assert_eq!(worst.0.to_bits(), want_worst.0.to_bits(), "worst, {case}");
-                    assert_eq!(worst.1, want_worst.1, "worst index, {case}");
-
-                    let gmm = Gmm::from_parts(weights.clone(), components, stats, 1e-6).unwrap();
-                    let want = reference::log_likelihood(&dens, &weights, &data);
-                    assert_eq!(
-                        gmm.log_likelihood(&data).to_bits(),
-                        want.to_bits(),
-                        "{case}"
-                    );
-                    let resp = gmm.responsibilities(&data[0]);
-                    let want = reference::responsibilities(&dens, &weights, &data[0]);
-                    assert!(
-                        resp.iter()
-                            .zip(&want)
-                            .all(|(a, b)| a.to_bits() == b.to_bits()),
-                        "responsibilities, {case}"
-                    );
+                    for (kind, data) in duplicate_cases(&data) {
+                        let case = format!("g={g} d={d} n={n} {kind}");
+                        check_e_step(&case, &components, &weights, &dens, &data);
+                    }
                 }
             }
         }
+    }
+
+    /// One case of the test above: `e_step`, `log_likelihood` and
+    /// `responsibilities` against the reference, bit for bit.
+    fn check_e_step(
+        case: &str,
+        components: &[Gaussian],
+        weights: &[f64],
+        dens: &[reference::Density],
+        data: &[Vec<f64>],
+    ) {
+        let (want_stats, want_ll, want_worst) = reference::e_step(data, dens, weights, EM_CHUNK);
+        let rows = flatten(data).unwrap();
+        let points = Points::new(&rows, data.len());
+        let distinct = Distinct::of(points);
+        let mut evals = vec![0.0; distinct.firsts.len() * (components.len() + 1)];
+        let (stats, ll, worst) = e_step(points, &distinct, &mut evals, components, weights);
+        assert_eq!(stats_bits(&stats), stats_bits(&want_stats), "stats, {case}");
+        assert_eq!(ll.to_bits(), want_ll.to_bits(), "log-likelihood, {case}");
+        assert_eq!(worst.0.to_bits(), want_worst.0.to_bits(), "worst, {case}");
+        assert_eq!(worst.1, want_worst.1, "worst index, {case}");
+
+        let gmm = Gmm::from_parts(weights.to_vec(), components.to_vec(), stats, 1e-6).unwrap();
+        let want = reference::log_likelihood(dens, weights, data);
+        assert_eq!(gmm.log_likelihood(data).to_bits(), want.to_bits(), "{case}");
+        let resp = gmm.responsibilities(&data[0]);
+        let want = reference::responsibilities(dens, weights, &data[0]);
+        assert!(
+            resp.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()),
+            "responsibilities, {case}"
+        );
     }
 
     #[test]
